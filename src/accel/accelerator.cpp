@@ -176,6 +176,8 @@ runLayer(AccelKind kind, const RunRequest &req)
     const sim::LayerProfile profile = workload::buildLayerProfile(spec);
     sim::RunOptions opts;
     opts.int8Weights = req.int8Weights;
+    static const obs::Stage stage("sim.simulateLayer");
+    const obs::ScopedStage timed(stage);
     return sim::simulateLayer(profile, cfg, sim::EnergyParams{}, opts);
 }
 

@@ -75,9 +75,8 @@ blockNnz(const Mask &mask, size_t m)
     for (size_t br = 0; br < block_rows; ++br)
         for (size_t r = 0; r < m; ++r)
             for (size_t bc = 0; bc < block_cols; ++bc)
-                for (size_t c0 = 0; c0 < m; c0 += 64)
-                    nnz[br * block_cols + bc] += mask.rangeNnz(
-                        br * m + r, bc * m + c0, std::min<size_t>(64, m - c0));
+                nnz[br * block_cols + bc] +=
+                    mask.rangeNnz(br * m + r, bc * m, m);
     return nnz;
 }
 

@@ -187,11 +187,17 @@ class Mask
         }
     }
 
-    /** Kept count in [c0, c0+len) of row r (len <= 64). */
+    /** Kept count in [c0, c0+len) of row r (any len). */
     size_t
     rangeNnz(size_t r, size_t c0, size_t len) const
     {
-        return static_cast<size_t>(std::popcount(rowBits(r, c0, len)));
+        size_t n = 0;
+        for (size_t off = 0; off < len; off += 64) {
+            const size_t piece = len - off < 64 ? len - off : 64;
+            n += static_cast<size_t>(
+                std::popcount(rowBits(r, c0 + off, piece)));
+        }
+        return n;
     }
 
     /** Invoke f(c) for every kept column of row r, ascending. */

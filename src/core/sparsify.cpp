@@ -1,11 +1,13 @@
 #include "sparsify.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <type_traits>
 
 #include "kernels/kernels.hpp"
+#include "obs/stage.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
 
@@ -190,15 +192,32 @@ tbsFitUnits(const Mask &us, size_t m, size_t block_rows, size_t block_cols)
             for (size_t bc = 0; bc < block_cols; ++bc) {
                 size_t nnz = 0;
                 for (size_t r = 0; r < m; ++r)
-                    for (size_t c0 = 0; c0 < m; c0 += 64)
-                        nnz += us.rangeNnz(br * m + r, bc * m + c0,
-                                           std::min<size_t>(64, m - c0));
+                    nnz += us.rangeNnz(br * m + r, bc * m, m);
                 units[br * block_cols + bc] =
                     {static_cast<double>(nnz), m};
             }
         }
     });
     return units;
+}
+
+/** Algorithm 1 step 2: per-block N from the unstructured mask @p us. */
+std::vector<uint8_t>
+tbsFit(const Mask &us, size_t m, size_t block_rows, size_t block_cols,
+       std::span<const uint8_t> candidates, size_t target)
+{
+    static const obs::Stage stage("core.tbs.fit");
+    const obs::ScopedStage timed(stage);
+    return fitCounts(tbsFitUnits(us, m, block_rows, block_cols),
+                     candidates, target);
+}
+
+/** Algorithm 1 step 3 (block scoring and mask materialization). */
+const obs::Stage &
+tbsScoreStage()
+{
+    static const obs::Stage stage("core.tbs.score");
+    return stage;
 }
 
 /**
@@ -574,30 +593,129 @@ packTile(Mask &mask, size_t r, size_t c0, std::span<const uint8_t> keep)
     mask.setRowBits(r, c0, keep.size(), bits);
 }
 
-/** Pack a row-major 0/1 byte image into the mask, 64 bytes per step. */
-void
-packBytes(Mask &mask, std::span<const uint8_t> keep)
+/**
+ * Order-preserving integer key of a score: ascending keys are
+ * ascending floats. -0.0 and +0.0 share one key because they compare
+ * equal, and selectTopN's tie rule runs on float equality.
+ */
+uint32_t
+scoreKey(float v)
 {
-    for (size_t r = 0; r < mask.rows(); ++r) {
-        const uint8_t *src = keep.data() + r * mask.cols();
-        for (size_t c0 = 0; c0 < mask.cols(); c0 += 64) {
-            const size_t len = std::min<size_t>(64, mask.cols() - c0);
-            packTile(mask, r, c0, {src + c0, len});
-        }
-    }
+    uint32_t u = std::bit_cast<uint32_t>(v);
+    if ((u << 1) == 0)
+        u = 0;
+    return (u & 0x80000000u) != 0 ? ~u : u | 0x80000000u;
 }
+
+/** High key bits histogrammed by usMask's first pass. */
+constexpr unsigned kRadixBits = 12;
+constexpr unsigned kRadixShift = 32 - kRadixBits;
 
 } // namespace
 
 Mask
 usMask(const Matrix &scores, double sparsity)
 {
+    static const obs::Stage stage("core.usMask");
+    const obs::ScopedStage timed(stage);
+    // Global top-k under selectTopN's order (score descending, then
+    // index ascending) as a radix select on order-preserving keys: a
+    // histogram of the high key bits finds the bucket holding the k-th
+    // largest key, that bucket's keys are gathered and selected
+    // exactly, and a final pass writes mask words, admitting keys tied
+    // with the threshold lowest index first. Chunks own whole rows, so
+    // no two chunks share a mask word; every cross-chunk quantity is an
+    // integer count, so the mask is the same at any thread count.
+    const size_t rows = scores.rows();
+    const size_t cols = scores.cols();
     const size_t k = targetNnz(scores.size(), sparsity);
-    Mask mask(scores.rows(), scores.cols());
-    std::vector<uint8_t> keep(scores.size());
-    std::vector<float> scratch;
-    selectTopN(scores.data(), k, keep, scratch);
-    packBytes(mask, keep);
+    Mask mask(rows, cols);
+    if (k == 0)
+        return mask;
+
+    const size_t rows_per = std::max<size_t>(
+        1, rows / (util::effectiveThreads() * 4));
+    const size_t chunks = (rows + rows_per - 1) / rows_per;
+    const auto rowRange = [&](size_t ci) {
+        return std::pair{ci * rows_per, std::min(rows, (ci + 1) * rows_per)};
+    };
+
+    // Pass 1: per-chunk histograms of the high key bits.
+    constexpr size_t kBins = size_t{1} << kRadixBits;
+    std::vector<uint32_t> hist(chunks * kBins, 0);
+    util::runChunked(chunks, [&](size_t ci) {
+        uint32_t *h = hist.data() + ci * kBins;
+        const auto [r0, r1] = rowRange(ci);
+        for (const float v : scores.data().subspan(r0 * cols,
+                                                   (r1 - r0) * cols))
+            ++h[scoreKey(v) >> kRadixShift];
+    });
+    size_t above = 0; // Keys in buckets above the threshold bucket.
+    uint32_t bucket = kBins - 1;
+    for (;; --bucket) {
+        size_t count = 0;
+        for (size_t ci = 0; ci < chunks; ++ci)
+            count += hist[ci * kBins + bucket];
+        if (above + count >= k)
+            break;
+        above += count;
+    }
+
+    // Pass 2: gather the threshold bucket's keys, per chunk in index
+    // order, and select the threshold key among them.
+    std::vector<std::vector<uint32_t>> cand(chunks);
+    util::runChunked(chunks, [&](size_t ci) {
+        cand[ci].reserve(hist[ci * kBins + bucket]);
+        const auto [r0, r1] = rowRange(ci);
+        for (const float v : scores.data().subspan(r0 * cols,
+                                                   (r1 - r0) * cols)) {
+            const uint32_t key = scoreKey(v);
+            if (key >> kRadixShift == bucket)
+                cand[ci].push_back(key);
+        }
+    });
+    std::vector<uint32_t> all;
+    for (const auto &c : cand)
+        all.insert(all.end(), c.begin(), c.end());
+    const size_t need = k - above; // 1 <= need <= all.size()
+    std::nth_element(all.begin(), all.begin() + (need - 1), all.end(),
+                     std::greater<uint32_t>());
+    const uint32_t threshold = all[need - 1];
+    size_t ties = need;
+    for (const uint32_t key : all)
+        ties -= key > threshold;
+    all = {};
+
+    // Pass 3: write mask words. Chunk ci may admit the ties left after
+    // the lower-indexed chunks took theirs.
+    std::vector<size_t> tie_budget(chunks);
+    for (size_t ci = 0; ci < chunks; ++ci) {
+        const size_t eq = static_cast<size_t>(
+            std::count(cand[ci].begin(), cand[ci].end(), threshold));
+        tie_budget[ci] = std::min(eq, ties);
+        ties -= tie_budget[ci];
+    }
+    util::runChunked(chunks, [&](size_t ci) {
+        size_t budget = tie_budget[ci];
+        const auto [r0, r1] = rowRange(ci);
+        for (size_t r = r0; r < r1; ++r) {
+            const std::span<const float> row = scores.row(r);
+            for (size_t c0 = 0; c0 < cols; c0 += 64) {
+                const size_t len = std::min<size_t>(64, cols - c0);
+                uint64_t bits = 0;
+                for (size_t i = 0; i < len; ++i) {
+                    const uint32_t key = scoreKey(row[c0 + i]);
+                    bool keep = key > threshold;
+                    if (key == threshold && budget > 0) {
+                        keep = true;
+                        --budget;
+                    }
+                    bits |= static_cast<uint64_t>(keep) << i;
+                }
+                mask.setRowBits(r, c0, len, bits);
+            }
+        }
+    });
     return mask;
 }
 
@@ -636,11 +754,8 @@ rsvMask(const Matrix &scores, double sparsity, size_t m,
 
     std::vector<FitUnit> units(scores.rows());
     for (size_t r = 0; r < scores.rows(); ++r) {
-        size_t row_nnz = 0;
-        for (size_t c = 0; c < scores.cols(); c += 64)
-            row_nnz += us.rangeNnz(
-                r, c, std::min<size_t>(64, scores.cols() - c));
-        units[r] = {static_cast<double>(row_nnz), groups};
+        units[r] = {static_cast<double>(us.rangeNnz(r, 0, scores.cols())),
+                    groups};
     }
     const std::vector<uint8_t> n = fitCounts(units, candidates, target);
 
@@ -690,11 +805,7 @@ rshMask(const Matrix &scores, double sparsity, size_t m,
             s.row = r;
             s.tile0 = t0;
             s.tiles = std::min(m, tiles_per_row - t0);
-            s.us_nnz = 0;
-            for (size_t c = t0 * m; c < (t0 + s.tiles) * m; c += 64)
-                s.us_nnz += us.rangeNnz(
-                    r, c,
-                    std::min<size_t>(64, (t0 + s.tiles) * m - c));
+            s.us_nnz = us.rangeNnz(r, t0 * m, s.tiles * m);
             // Inner density from the average kept-per-surviving-tile:
             // dense inner tiles when the super-group is lightly pruned.
             const double density = static_cast<double>(s.us_nnz)
@@ -799,9 +910,8 @@ tbsMask(const Matrix &scores, double sparsity, size_t m,
     // Blocks are independent and write index-addressed slots, so the
     // density scan parallelizes; the largest-remainder promotion pass
     // inside fitCounts is a global ordered pass and stays serial.
-    const std::vector<FitUnit> units =
-        tbsFitUnits(us, m, block_rows, block_cols);
-    const std::vector<uint8_t> n = fitCounts(units, candidates, target);
+    const std::vector<uint8_t> n =
+        tbsFit(us, m, block_rows, block_cols, candidates, target);
 
     // Step 3: per block, choose the pruning direction by L1 distance to
     // the unstructured block mask.
@@ -816,6 +926,7 @@ tbsMask(const Matrix &scores, double sparsity, size_t m,
     // packed mask word, so the parallel materialization stays race-free
     // and index-addressed (bit-identical at any thread count). The
     // per-block scoring itself lives in tbsScoreBlockRows.
+    const obs::ScopedStage timed(tbsScoreStage());
     util::parallelFor(block_rows, 0, [&](size_t begin, size_t end) {
         if (m == 8)
             tbsScoreBlockRows(scores, us, n, block_cols,
@@ -842,9 +953,8 @@ tbsMaskOptimal(const Matrix &scores, double sparsity, size_t m,
     const size_t target = targetNnz(scores.size(), sparsity);
     const size_t block_rows = scores.rows() / m;
     const size_t block_cols = scores.cols() / m;
-    const std::vector<FitUnit> units =
-        tbsFitUnits(us, m, block_rows, block_cols);
-    const std::vector<uint8_t> n = fitCounts(units, candidates, target);
+    const std::vector<uint8_t> n =
+        tbsFit(us, m, block_rows, block_cols, candidates, target);
 
     TbsResult out;
     out.mask = Mask(scores.rows(), scores.cols());
@@ -859,6 +969,7 @@ tbsMaskOptimal(const Matrix &scores, double sparsity, size_t m,
     std::vector<size_t> transposable(block_rows, 0);
     std::vector<size_t> augments(block_rows, 0);
 
+    const obs::ScopedStage timed(tbsScoreStage());
     util::parallelFor(block_rows, 0, [&](size_t begin, size_t end) {
         OptScratch s;
         for (size_t br = begin; br < end; ++br) {
@@ -933,11 +1044,8 @@ ssMask(const Matrix &scores, double sparsity, size_t m)
     std::vector<FitUnit> units(scores.rows() * tiles_per_row);
     for (size_t r = 0; r < scores.rows(); ++r) {
         for (size_t t = 0; t < tiles_per_row; ++t) {
-            size_t nnz = 0;
-            for (size_t c0 = 0; c0 < m; c0 += 64)
-                nnz += us.rangeNnz(r, t * m + c0,
-                                   std::min<size_t>(64, m - c0));
-            units[r * tiles_per_row + t] = {static_cast<double>(nnz), 1};
+            units[r * tiles_per_row + t] = {
+                static_cast<double>(us.rangeNnz(r, t * m, m)), 1};
         }
     }
     const std::vector<uint8_t> n = fitCounts(units, cand, target);
@@ -1045,11 +1153,7 @@ validateSlideSparse(const Mask &mask, size_t m)
         return false;
     for (size_t r = 0; r < mask.rows(); ++r) {
         for (size_t t = 0; t < mask.cols(); t += m) {
-            size_t nnz = 0;
-            for (size_t c0 = 0; c0 < m; c0 += 64)
-                nnz += mask.rangeNnz(r, t + c0,
-                                     std::min<size_t>(64, m - c0));
-            if (nnz > m - 2)
+            if (mask.rangeNnz(r, t, m) > m - 2)
                 return false;
         }
     }

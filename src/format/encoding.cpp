@@ -24,6 +24,38 @@ constexpr uint64_t kRowPtrBytes = 4; ///< CSR row pointer.
 /** Sentinel column marking an SDC padding slot. */
 constexpr uint16_t kPadSlot = 0xffff;
 
+/** DDC intra-group index width: ceil(log2 m) bits, at least 1. */
+uint64_t
+log2Bits(size_t m)
+{
+    uint64_t bits = 0;
+    while ((1ull << bits) < m)
+        ++bits;
+    return bits == 0 ? 1 : bits;
+}
+
+/** Dense walk segments: accesses that do not continue the previous. */
+uint64_t
+denseSegments(uint64_t rows, uint64_t cols, uint64_t m)
+{
+    if (rows == 0 || cols == 0)
+        return 0;
+    if (cols <= m)
+        return 1; // One block column: rows abut, the walk is linear.
+    // Rows inside a block never abut (each is narrower than a matrix
+    // row). A block-row's last access ends its last row, where the next
+    // block-row starts, so block-row seams always merge; block seams
+    // inside a block-row merge only when the block-row has one row.
+    const uint64_t block_cols = (cols + m - 1) / m;
+    uint64_t segments = 0;
+    uint64_t block_rows = 0;
+    for (uint64_t br = 0; br < rows; br += m, ++block_rows) {
+        const uint64_t height = std::min(m, rows - br);
+        segments += height == 1 ? 1 : height * block_cols;
+    }
+    return segments - (block_rows - 1);
+}
+
 /**
  * On-line merger of a walk's byte accesses into contiguous segments.
  * Feed (start, len) accesses in walk order; adjacent runs coalesce.
@@ -365,15 +397,6 @@ class DdcEncoding final : public Encoding
     }
 
   private:
-    static uint64_t
-    log2Bits(size_t m)
-    {
-        uint64_t bits = 0;
-        while ((1ull << bits) < m)
-            ++bits;
-        return bits == 0 ? 1 : bits;
-    }
-
     size_t rows_;
     size_t cols_;
     TbsMeta meta_;
@@ -482,6 +505,81 @@ std::unique_ptr<Encoding>
 encodeBitmap(const Matrix &w, const Mask &mask)
 {
     return std::make_unique<BitmapEncoding>(w, mask);
+}
+
+StreamProfile
+streamProfile(StorageFormat fmt, const Mask &mask, const TbsMeta &meta,
+              size_t m)
+{
+    ensure(m > 0, "streamProfile requires m > 0");
+    const uint64_t rows = mask.rows();
+    const uint64_t cols = mask.cols();
+    StreamProfile p;
+    switch (fmt) {
+      case StorageFormat::Dense:
+        p.payloadBytes = rows * cols * kValueBytes;
+        p.usefulBytes = p.payloadBytes;
+        p.segments = denseSegments(rows, cols, m);
+        return p;
+      case StorageFormat::SDC: {
+        uint64_t pitch = 0;
+        for (size_t r = 0; r < rows; ++r)
+            pitch = std::max(pitch, mask.rangeNnz(r, 0, cols));
+        p.payloadBytes = rows * pitch * (kValueBytes + kIdxBytes);
+        p.usefulBytes = mask.nnz() * (kValueBytes + kIdxBytes);
+        p.segments = 1;
+        return p;
+      }
+      case StorageFormat::CSR: {
+        // The encoder's block walk over interleaved (value, index)
+        // pairs: a row's entries in one m-column group are contiguous,
+        // at the row's start plus the entries left of the group.
+        const uint64_t pair = kValueBytes + kIdxBytes;
+        std::vector<uint64_t> row_start(rows + 1, 0);
+        for (size_t r = 0; r < rows; ++r)
+            row_start[r + 1] = row_start[r] + mask.rangeNnz(r, 0, cols);
+        SegmentCounter seg;
+        std::vector<uint64_t> cursor(m);
+        for (size_t br = 0; br < rows; br += m) {
+            const size_t height = std::min<size_t>(m, rows - br);
+            for (size_t i = 0; i < height; ++i)
+                cursor[i] = row_start[br + i];
+            for (size_t bc = 0; bc < cols; bc += m) {
+                const size_t width = std::min<size_t>(m, cols - bc);
+                for (size_t i = 0; i < height; ++i) {
+                    const uint64_t n = mask.rangeNnz(br + i, bc, width);
+                    seg.access(cursor[i] * pair, n * pair);
+                    cursor[i] += n;
+                }
+            }
+        }
+        p.payloadBytes = seg.bytes() + (rows + 1) * kRowPtrBytes;
+        p.usefulBytes = p.payloadBytes;
+        p.segments = seg.segments() + 1;
+        return p;
+      }
+      case StorageFormat::DDC: {
+        ensure(rows == meta.blockRows * meta.m
+                   && cols == meta.blockCols * meta.m,
+               "DDC metadata grid mismatch");
+        uint64_t n_sum = 0;
+        for (const auto &info : meta.blocks)
+            n_sum += info.n;
+        const uint64_t values = meta.m * n_sum;
+        p.payloadBytes = meta.blocks.size() * kInfoBytes
+            + values * kValueBytes
+            + (values * log2Bits(meta.m) + 7) / 8;
+        p.usefulBytes = p.payloadBytes;
+        p.segments = 2;
+        return p;
+      }
+      case StorageFormat::Bitmap:
+        p.payloadBytes = mask.nnz() * kValueBytes + (rows * cols + 7) / 8;
+        p.usefulBytes = p.payloadBytes;
+        p.segments = 2;
+        return p;
+    }
+    util::panic("unknown StorageFormat");
 }
 
 } // namespace tbstc::format

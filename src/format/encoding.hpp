@@ -128,6 +128,25 @@ encodeDdc(const core::Matrix &w, const core::Mask &mask,
 std::unique_ptr<Encoding>
 encodeBitmap(const core::Matrix &w, const core::Mask &mask);
 
+/**
+ * The stream profile of encoding @p mask in format @p fmt for a walk
+ * with block size @p m, computed from counts alone: equal to
+ * encode<fmt>(w, mask[, meta])->streamProfile(m) for any weights w of
+ * the mask's shape, without materializing the encoding.
+ *
+ *  - Dense: shape only.
+ *  - SDC: per-row popcounts (pitch = max row nnz).
+ *  - CSR: per-(row, m-column-group) popcounts, walked in block order.
+ *  - DDC: @p meta only (blocks * info + m * sum(N) values and
+ *    ceil(log2 meta.m)-bit indices); @p m is ignored, as in the
+ *    encoder, and the mask must match the metadata grid.
+ *  - Bitmap: shape and nnz.
+ *
+ * @p meta is read only for DDC. @p m must be > 0.
+ */
+StreamProfile streamProfile(StorageFormat fmt, const core::Mask &mask,
+                            const core::TbsMeta &meta, size_t m);
+
 } // namespace tbstc::format
 
 #endif // TBSTC_FORMAT_ENCODING_HPP

@@ -1,8 +1,9 @@
 #include "parallel.hpp"
 
-#include <atomic>
+#include <algorithm>
 #include <condition_variable>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -14,12 +15,14 @@ namespace tbstc::util {
 
 namespace {
 
+class ThreadPool;
+
 /**
- * Set while a thread executes chunk bodies (pool workers permanently,
- * submitters for the duration of a batch). Nested parallel regions see
- * it and run inline instead of re-entering the pool.
+ * The pool whose chunk bodies this thread is executing: set for pool
+ * workers permanently and for a submitter while it drains its own
+ * batch. Nested parallel regions submit to this pool.
  */
-thread_local bool inside_pool = false;
+thread_local ThreadPool *current_pool = nullptr;
 
 /** Per-thread worker-count override; 0 = none. */
 thread_local size_t thread_override = 0;
@@ -44,16 +47,17 @@ envThreads()
 }
 
 /**
- * One batch of chunk work. Owned by the submitting thread's stack;
- * workers hold a pointer only between the batch being published and
- * the submitter observing completion (both under the pool mutex).
+ * One batch of chunk work. Owned by the submitting thread's stack and
+ * listed in the pool's live set until the submitter observes every
+ * chunk done; all fields but errors are guarded by the pool mutex.
  */
 struct Batch
 {
     const std::function<void(size_t)> *fn = nullptr;
     size_t chunks = 0;
-    std::atomic<size_t> next{0}; ///< Next unclaimed chunk index.
-    std::atomic<size_t> done{0}; ///< Completed chunk count.
+    uint64_t seq = 0;  ///< Submission order (drainPool's horizon).
+    size_t next = 0;   ///< Next unclaimed chunk index.
+    size_t done = 0;   ///< Completed chunk count.
     std::vector<std::exception_ptr> errors; ///< Slot per chunk.
 };
 
@@ -85,34 +89,21 @@ poolMetrics()
 }
 
 /**
- * Run claimed chunks until the batch is exhausted. @p stealing marks
- * execution by a pool worker rather than the submitting thread (the
- * "steal count" of the queue's work-claiming).
+ * A fixed set of workers serving any number of open batches. Batches
+ * nest: a chunk body may submit a batch of its own, from a worker or
+ * from a submitter draining its batch. Scheduling rules:
+ *
+ *  - an idle worker claims one chunk at a time from the newest batch
+ *    that still has unclaimed chunks, so a nested batch is served
+ *    before new outer chunks start (outer work in flight stays bounded
+ *    by the worker count);
+ *  - a submitter claims its own batch's chunks until none is left
+ *    unclaimed, then waits for the chunks other threads claimed.
+ *
+ * Every batch can complete on its submitter alone, and a thread only
+ * waits once all of its batch's chunks are claimed by running threads,
+ * so nesting cannot deadlock.
  */
-void
-drainBatch(Batch &b, bool stealing = false)
-{
-    const bool record = obs::metricsEnabled();
-    for (;;) {
-        const size_t ci = b.next.fetch_add(1, std::memory_order_relaxed);
-        if (ci >= b.chunks)
-            return;
-        if (record) {
-            poolMetrics().chunks.add();
-            if (stealing)
-                poolMetrics().steals.add();
-            poolMetrics().queueDepthPeak.record(
-                static_cast<int64_t>(b.chunks - ci));
-        }
-        try {
-            (*b.fn)(ci);
-        } catch (...) {
-            b.errors[ci] = std::current_exception();
-        }
-        b.done.fetch_add(1, std::memory_order_release);
-    }
-}
-
 class ThreadPool
 {
   public:
@@ -135,27 +126,29 @@ class ThreadPool
             t.join();
     }
 
+    ThreadPool(const ThreadPool &) = delete;
+    ThreadPool &operator=(const ThreadPool &) = delete;
+
     size_t workers() const { return workers_; }
 
-    /** Block until the in-flight batch (if any) has completed. */
+    /** Block until every batch submitted before the call has completed. */
     void
     quiesce()
     {
-        const std::lock_guard lk(submit_m_);
+        std::unique_lock lk(m_);
+        const uint64_t horizon = nextSeq_;
+        done_cv_.wait(lk, [&] {
+            return std::none_of(live_.begin(), live_.end(),
+                                [&](const Batch *b) {
+                                    return b->seq < horizon;
+                                });
+        });
     }
 
     /** Execute a batch, blocking until every chunk has completed. */
     void
     run(size_t chunks, const std::function<void(size_t)> &fn)
     {
-        // One batch at a time; a concurrent submitter runs inline
-        // (identical chunks, identical results — just not offloaded).
-        std::unique_lock submit(submit_m_, std::try_to_lock);
-        if (!submit.owns_lock()) {
-            runInline(chunks, fn);
-            return;
-        }
-
         if (obs::metricsEnabled()) {
             poolMetrics().batches.add();
             poolMetrics().workersPeak.record(
@@ -168,25 +161,27 @@ class ThreadPool
         batch.errors.resize(chunks);
         {
             std::lock_guard lk(m_);
-            batch_ = &batch;
-            ++epoch_;
+            batch.seq = nextSeq_++;
+            live_.push_back(&batch);
         }
         cv_.notify_all();
 
-        const bool was_inside = inside_pool;
-        inside_pool = true;
-        drainBatch(batch);
-        inside_pool = was_inside;
-
-        {
-            std::unique_lock lk(m_);
-            done_cv_.wait(lk, [&] {
-                return active_ == 0
-                    && batch.done.load(std::memory_order_acquire)
-                    == chunks;
-            });
-            batch_ = nullptr;
+        ThreadPool *const outer = current_pool;
+        current_pool = this;
+        std::unique_lock lk(m_);
+        while (batch.next < batch.chunks) {
+            const size_t ci = batch.next++;
+            lk.unlock();
+            execute(batch, ci, /*stealing=*/false);
+            lk.lock();
+            ++batch.done;
         }
+        current_pool = outer;
+        done_cv_.wait(lk, [&] { return batch.done == batch.chunks; });
+        live_.erase(std::find(live_.begin(), live_.end(), &batch));
+        lk.unlock();
+        done_cv_.notify_all(); // quiesce() may be waiting on this batch.
+
         for (auto &err : batch.errors)
             if (err)
                 std::rethrow_exception(err);
@@ -202,26 +197,52 @@ class ThreadPool
     }
 
   private:
+    /** Run chunk @p ci of @p b, parking any exception in its slot. */
+    static void
+    execute(Batch &b, size_t ci, bool stealing)
+    {
+        if (obs::metricsEnabled()) {
+            poolMetrics().chunks.add();
+            if (stealing)
+                poolMetrics().steals.add();
+            poolMetrics().queueDepthPeak.record(
+                static_cast<int64_t>(b.chunks - ci));
+        }
+        try {
+            (*b.fn)(ci);
+        } catch (...) {
+            b.errors[ci] = std::current_exception();
+        }
+    }
+
+    /** Newest live batch with an unclaimed chunk, or null. Needs m_. */
+    Batch *
+    newestOpen() const
+    {
+        for (auto it = live_.rbegin(); it != live_.rend(); ++it)
+            if ((*it)->next < (*it)->chunks)
+                return *it;
+        return nullptr;
+    }
+
     void
     workerLoop()
     {
-        inside_pool = true;
-        uint64_t seen = 0;
+        current_pool = this;
         std::unique_lock lk(m_);
         for (;;) {
+            Batch *b = nullptr;
             cv_.wait(lk, [&] {
-                return stop_ || (batch_ != nullptr && epoch_ != seen);
+                return stop_ || (b = newestOpen()) != nullptr;
             });
             if (stop_)
                 return;
-            seen = epoch_;
-            Batch *b = batch_;
-            ++active_;
+            const size_t ci = b->next++;
             lk.unlock();
-            drainBatch(*b, /*stealing=*/true);
+            execute(*b, ci, /*stealing=*/true);
             lk.lock();
-            --active_;
-            if (active_ == 0)
+            // The submitter may free the batch once this count lands.
+            if (++b->done == b->chunks)
                 done_cv_.notify_all();
         }
     }
@@ -229,14 +250,12 @@ class ThreadPool
     size_t workers_;
     std::vector<std::thread> threads_;
 
-    std::mutex submit_m_; ///< Serializes batch submissions.
     std::mutex m_;
-    std::condition_variable cv_;      ///< Wakes workers for a batch.
-    std::condition_variable done_cv_; ///< Wakes the submitter.
-    Batch *batch_ = nullptr;          ///< Guarded by m_.
-    uint64_t epoch_ = 0;              ///< Guarded by m_.
-    size_t active_ = 0;               ///< Workers inside the batch.
-    bool stop_ = false;
+    std::condition_variable cv_;      ///< Wakes workers for new chunks.
+    std::condition_variable done_cv_; ///< Wakes submitters and drainers.
+    std::vector<Batch *> live_;       ///< Unfinished batches, oldest first.
+    uint64_t nextSeq_ = 0;            ///< Guarded by m_.
+    bool stop_ = false;               ///< Guarded by m_.
 };
 
 /**
@@ -276,6 +295,8 @@ effectiveThreads()
 {
     if (thread_override > 0)
         return thread_override;
+    if (current_pool != nullptr)
+        return current_pool->workers();
     if (envThreads() > 0)
         return envThreads();
     const unsigned hw = std::thread::hardware_concurrency();
@@ -306,7 +327,7 @@ ThreadScope::~ThreadScope()
 void
 drainPool()
 {
-    if (inside_pool)
+    if (current_pool != nullptr)
         return; // The caller *is* the in-flight work.
     std::shared_ptr<ThreadPool> pool;
     {
@@ -320,7 +341,7 @@ drainPool()
 void
 shutdownPool()
 {
-    ensure(!inside_pool,
+    ensure(current_pool == nullptr,
            "shutdownPool() must not be called from a parallel region");
     std::shared_ptr<ThreadPool> pool;
     {
@@ -342,8 +363,13 @@ runChunked(size_t chunks, const std::function<void(size_t)> &chunk)
     if (chunks == 0)
         return;
     const size_t workers = effectiveThreads();
-    if (workers <= 1 || chunks == 1 || inside_pool) {
+    if (workers <= 1 || chunks == 1) {
         ThreadPool::runInline(chunks, chunk);
+        return;
+    }
+    // A nested region joins the pool its caller is running on.
+    if (current_pool != nullptr) {
+        current_pool->run(chunks, chunk);
         return;
     }
     globalPool(workers)->run(chunks, chunk);

@@ -17,12 +17,21 @@
  *
  * Worker count resolution (first match wins):
  *  1. a ThreadScope / setThreads() override on the calling thread,
- *  2. the TBSTC_THREADS environment variable,
- *  3. std::thread::hardware_concurrency().
+ *  2. inside a chunk body, the worker count of the pool running it,
+ *  3. the TBSTC_THREADS environment variable,
+ *  4. std::thread::hardware_concurrency().
  * A count of 1 runs every region inline on the calling thread — the
- * exact serial fallback path. Nested parallel regions (a parallel
- * sweep whose layers parallelize their own block loops) also run
- * inline, so the pool never self-deadlocks.
+ * exact serial fallback path.
+ *
+ * Nesting: a parallel region opened inside a chunk body (a parallel
+ * sweep whose layers parallelize their own block loops) is a batch on
+ * the same pool, not an inline loop, so idle workers help with it.
+ * Idle workers always take the newest open batch first; a submitter
+ * runs its own batch's chunks and only waits once all of them are
+ * claimed by running threads, so nesting cannot deadlock and any
+ * number of threads may submit at once. Inside a chunk body a worker
+ * count override only matters as 1 (run nested regions inline); other
+ * values keep the enclosing pool.
  */
 
 #ifndef TBSTC_UTIL_PARALLEL_HPP
@@ -41,7 +50,8 @@ namespace tbstc::util {
 
 /**
  * Effective worker count for parallel regions submitted by this
- * thread: override > TBSTC_THREADS > hardware_concurrency.
+ * thread: override > enclosing pool > TBSTC_THREADS >
+ * hardware_concurrency.
  */
 size_t effectiveThreads();
 
@@ -92,11 +102,12 @@ void drainPool();
 void shutdownPool();
 
 /**
- * Execute @p chunk for every index in [0, chunks) on the shared pool,
- * blocking until all complete. Chunks may run in any order and
- * concurrently; the first exception (lowest chunk index) is rethrown
- * after the batch drains. Runs inline when the effective worker count
- * is 1 or the caller is itself a pool worker.
+ * Execute @p chunk for every index in [0, chunks) on the shared pool
+ * (or, from inside a chunk body, on the pool running it), blocking
+ * until all complete. Chunks may run in any order and concurrently;
+ * the first exception (lowest chunk index) is rethrown after the batch
+ * drains. Runs inline when the effective worker count or @p chunks is
+ * 1.
  */
 void runChunked(size_t chunks, const std::function<void(size_t)> &chunk);
 

@@ -26,6 +26,27 @@ rotl(uint64_t x, int k)
     return (x << k) | (x >> (64 - k));
 }
 
+/** Box-Muller's u1 rejection: log(u1) must stay finite. */
+bool
+rejectU1(double u1)
+{
+    return u1 <= 1e-300;
+}
+
+/** Box-Muller radius for u1. */
+double
+boxMullerMag(double u1)
+{
+    return std::sqrt(-2.0 * std::log(u1));
+}
+
+/** The second (sin) variate of a Box-Muller pair of radius @p mag. */
+double
+boxMullerSin(double mag, double u2)
+{
+    return mag * std::sin(2.0 * std::numbers::pi * u2);
+}
+
 } // namespace
 
 Rng::Rng(uint64_t seed)
@@ -37,6 +58,27 @@ Rng::Rng(uint64_t seed)
     // four zeros from any seed, but guard anyway.
     if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0)
         s_[0] = 1;
+}
+
+Rng::Rng(const State &state)
+    : haveSpare_(state.haveSpare), spare_(state.spare)
+{
+    for (size_t i = 0; i < 4; ++i)
+        s_[i] = state.s[i];
+}
+
+Rng::State
+Rng::state() const
+{
+    State st;
+    for (size_t i = 0; i < 4; ++i)
+        st.s[i] = s_[i];
+    st.haveSpare = haveSpare_;
+    if (haveSpare_)
+        st.spare = spareDeferred_
+            ? boxMullerSin(boxMullerMag(deferredU1_), deferredU2_)
+            : spare_;
+    return st;
 }
 
 uint64_t
@@ -84,16 +126,47 @@ Rng::gaussian()
 {
     if (haveSpare_) {
         haveSpare_ = false;
+        if (spareDeferred_) {
+            spareDeferred_ = false;
+            return boxMullerSin(boxMullerMag(deferredU1_), deferredU2_);
+        }
         return spare_;
     }
     double u1 = uniform();
     double u2 = uniform();
-    while (u1 <= 1e-300)
+    while (rejectU1(u1))
         u1 = uniform();
-    const double mag = std::sqrt(-2.0 * std::log(u1));
-    spare_ = mag * std::sin(2.0 * std::numbers::pi * u2);
+    const double mag = boxMullerMag(u1);
+    spare_ = boxMullerSin(mag, u2);
     haveSpare_ = true;
     return mag * std::cos(2.0 * std::numbers::pi * u2);
+}
+
+void
+Rng::skipGaussian()
+{
+    if (haveSpare_) {
+        haveSpare_ = false;
+        spareDeferred_ = false;
+        return;
+    }
+    double u1 = uniform();
+    const double u2 = uniform();
+    while (rejectU1(u1))
+        u1 = uniform();
+    deferredU1_ = u1;
+    deferredU2_ = u2;
+    spareDeferred_ = true;
+    haveSpare_ = true;
+}
+
+void
+Rng::skipHeavyTails(uint64_t n)
+{
+    for (uint64_t i = 0; i < n; ++i) {
+        next(); // The outlier-component coin.
+        skipGaussian();
+    }
 }
 
 double

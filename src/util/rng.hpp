@@ -27,8 +27,27 @@ namespace tbstc::util {
 class Rng
 {
   public:
+    /**
+     * Complete generator state. Restoring it with Rng(State) replays
+     * the stream exactly, including a pending Box-Muller spare, so a
+     * long serial stream can be checkpointed and resumed in chunks.
+     * spare is 0 unless haveSpare.
+     */
+    struct State
+    {
+        uint64_t s[4] = {};
+        bool haveSpare = false;
+        double spare = 0.0;
+    };
+
     /** Construct from a 64-bit seed (expanded through SplitMix64). */
     explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ull);
+
+    /** Resume the stream captured by state(). */
+    explicit Rng(const State &state);
+
+    /** Snapshot of the stream position (see State). */
+    State state() const;
 
     /** Next raw 64-bit draw. */
     uint64_t next();
@@ -60,6 +79,16 @@ class Rng
     double heavyTail(double outlier_frac = 0.05,
                      double outlier_scale = 8.0);
 
+    /**
+     * Advance past one gaussian() draw: consume exactly the words it
+     * would, without the transcendental math. A spare left pending is
+     * computed only if a later gaussian() or state() needs it.
+     */
+    void skipGaussian();
+
+    /** Advance past @p n heavyTail() draws, like skipGaussian(). */
+    void skipHeavyTails(uint64_t n);
+
     /** Fisher-Yates shuffle of indices [0, n). */
     std::vector<size_t> permutation(size_t n);
 
@@ -70,6 +99,10 @@ class Rng
     uint64_t s_[4];
     bool haveSpare_ = false;
     double spare_ = 0.0;
+    /** The spare is still the (u1, u2) pair a skip drew, not a value. */
+    bool spareDeferred_ = false;
+    double deferredU1_ = 0.0;
+    double deferredU2_ = 0.0;
 };
 
 } // namespace tbstc::util

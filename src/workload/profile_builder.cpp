@@ -1,10 +1,10 @@
 #include "profile_builder.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 
 #include "core/mask_search.hpp"
-#include "core/prune.hpp"
 #include "core/sparsify.hpp"
 #include "obs/obs.hpp"
 #include "synth.hpp"
@@ -24,6 +24,20 @@ using format::StorageFormat;
 using sim::BlockTask;
 using sim::LayerProfile;
 
+namespace {
+
+/** Set every element of block (br, bc), whole row words at a time. */
+void
+fillBlock(Mask &mask, size_t br, size_t bc, size_t m)
+{
+    for (size_t r = br * m; r < (br + 1) * m; ++r)
+        for (size_t off = 0; off < m; off += 64)
+            mask.setRowBits(r, bc * m + off, std::min<size_t>(64, m - off),
+                            ~uint64_t{0});
+}
+
+} // namespace
+
 core::TbsMeta
 deriveMeta(const Mask &mask, size_t m)
 {
@@ -37,12 +51,9 @@ deriveMeta(const Mask &mask, size_t m)
     for (size_t br = 0; br < meta.blockRows; ++br) {
         for (size_t bc = 0; bc < meta.blockCols; ++bc) {
             size_t max_row = 0;
-            for (size_t r = 0; r < m; ++r) {
-                size_t row_nnz = 0;
-                for (size_t c = 0; c < m; ++c)
-                    row_nnz += mask.at(br * m + r, bc * m + c);
-                max_row = std::max(max_row, row_nnz);
-            }
+            for (size_t r = 0; r < m; ++r)
+                max_row = std::max(
+                    max_row, mask.rangeNnz(br * m + r, bc * m, m));
             meta.block(br, bc) = {static_cast<uint8_t>(max_row),
                                   SparsityDim::Reduction};
         }
@@ -189,8 +200,18 @@ buildLayerProfileUncached(const ProfileSpec &spec)
     const double scale =
         static_cast<double>(shape.x) / static_cast<double>(rows);
 
-    const Matrix w = synthWeights(shape, spec.seed, rows);
-    const Matrix scores = core::magnitudeScores(w);
+    // Only |w| is needed downstream (the stream profile comes from
+    // counts), so the weights become their magnitude scores in place.
+    Matrix scores = synthWeights(shape, spec.seed, rows);
+    {
+        static const obs::Stage stage("workload.abs");
+        const obs::ScopedStage timed(stage);
+        const std::span<float> data = scores.data();
+        util::parallelFor(data.size(), 0, [&](size_t begin, size_t end) {
+            for (size_t i = begin; i < end; ++i)
+                data[i] = std::fabs(data[i]);
+        });
+    }
     const std::vector<uint8_t> cand = core::defaultCandidates(m);
 
     Mask mask;
@@ -215,82 +236,65 @@ buildLayerProfileUncached(const ProfileSpec &spec)
                                  cand);
         meta = deriveMeta(mask, m);
     }
+    scores = Matrix(); // Nothing below reads |w|; free it early.
 
-    if (spec.densifyIndependent) {
-        // Hardware without codec/MBD support cannot exploit (or even
-        // index) independent-dimension blocks; they fall back to dense.
-        for (size_t br = 0; br < meta.blockRows; ++br) {
-            for (size_t bc = 0; bc < meta.blockCols; ++bc) {
-                auto &info = meta.block(br, bc);
-                if (info.dim == SparsityDim::Independent && info.n > 0
-                    && info.n < m) {
-                    info = {static_cast<uint8_t>(m),
-                            SparsityDim::Reduction};
-                    for (size_t r = 0; r < m; ++r)
-                        for (size_t c = 0; c < m; ++c)
-                            mask.at(br * m + r, bc * m + c) = 1;
-                }
-            }
-        }
-    }
-
-    // Block tasks.
     LayerProfile profile;
     profile.x = shape.x;
     profile.y = shape.y;
     profile.nb = shape.nb;
     profile.m = m;
     profile.sampleScale = scale;
-    profile.aNnz = mask.nnz();
-    // Per-block task derivation only reads the (frozen) mask and
-    // writes its own slot — scan blocks in parallel.
-    profile.blocks.resize(meta.blocks.size());
-    util::parallelFor(
-        meta.blocks.size(), 0, [&](size_t begin, size_t end) {
-        for (size_t u = begin; u < end; ++u) {
-            const size_t br = u / meta.blockCols;
-            const size_t bc = u % meta.blockCols;
-            const auto &info = meta.block(br, bc);
-            BlockTask task;
-            size_t nnz = 0;
-            size_t nonempty = 0;
-            for (size_t r = 0; r < m; ++r) {
-                size_t row_nnz = 0;
-                for (size_t c = 0; c < m; ++c)
-                    row_nnz += mask.at(br * m + r, bc * m + c);
-                nnz += row_nnz;
-                nonempty += row_nnz > 0;
+    {
+        static const obs::Stage stage("workload.blockTasks");
+        const obs::ScopedStage timed(stage);
+        if (spec.densifyIndependent) {
+            // Hardware without codec/MBD support cannot exploit (or
+            // even index) independent-dimension blocks; they fall back
+            // to dense.
+            for (size_t br = 0; br < meta.blockRows; ++br) {
+                for (size_t bc = 0; bc < meta.blockCols; ++bc) {
+                    auto &info = meta.block(br, bc);
+                    if (info.dim == SparsityDim::Independent
+                        && info.n > 0 && info.n < m) {
+                        info = {static_cast<uint8_t>(m),
+                                SparsityDim::Reduction};
+                        fillBlock(mask, br, bc, m);
+                    }
+                }
             }
-            task.nnz = static_cast<uint16_t>(nnz);
-            task.n = info.n;
-            task.nonemptyRows = static_cast<uint8_t>(nonempty);
-            task.independentDim = info.dim == SparsityDim::Independent
-                && info.n > 0 && info.n < m;
-            profile.blocks[u] = task;
         }
-    });
-
-    // Storage-format stream profile.
-    std::unique_ptr<format::Encoding> enc;
-    switch (spec.fmt) {
-      case StorageFormat::Dense:
-        enc = format::encodeDense(w);
-        break;
-      case StorageFormat::SDC:
-        enc = format::encodeSdc(w, mask);
-        break;
-      case StorageFormat::CSR:
-        enc = format::encodeCsr(w, mask);
-        break;
-      case StorageFormat::DDC:
-        enc = format::encodeDdc(w, mask, meta);
-        break;
-      case StorageFormat::Bitmap:
-        enc = format::encodeBitmap(w, mask);
-        break;
+        profile.aNnz = mask.nnz();
+        // Per-block task derivation only reads the (frozen) mask and
+        // writes its own slot — scan blocks in parallel.
+        profile.blocks.resize(meta.blocks.size());
+        util::parallelFor(
+            meta.blocks.size(), 0, [&](size_t begin, size_t end) {
+            for (size_t u = begin; u < end; ++u) {
+                const size_t br = u / meta.blockCols;
+                const size_t bc = u % meta.blockCols;
+                const auto &info = meta.block(br, bc);
+                BlockTask task;
+                size_t nnz = 0;
+                size_t nonempty = 0;
+                for (size_t r = 0; r < m; ++r) {
+                    const size_t row_nnz =
+                        mask.rangeNnz(br * m + r, bc * m, m);
+                    nnz += row_nnz;
+                    nonempty += row_nnz > 0;
+                }
+                task.nnz = static_cast<uint16_t>(nnz);
+                task.n = info.n;
+                task.nonemptyRows = static_cast<uint8_t>(nonempty);
+                task.independentDim = info.dim == SparsityDim::Independent
+                    && info.n > 0 && info.n < m;
+                profile.blocks[u] = task;
+            }
+        });
     }
-    util::ensure(enc != nullptr, "unknown storage format");
-    profile.aStream = enc->streamProfile(m);
+
+    static const obs::Stage stage("format.streamProfile");
+    const obs::ScopedStage timed(stage);
+    profile.aStream = format::streamProfile(spec.fmt, mask, meta, m);
     return profile;
 }
 

@@ -4,9 +4,10 @@
  *
  * This is the bridge between the algorithm side (patterns, masks) and
  * the hardware side (LayerProfile): weights are synthesized, the
- * requested pattern's mask generated, the requested storage format
- * encoded, and the result reduced to per-block tasks plus a stream
- * profile. Layers too large to materialize are row-sampled on the
+ * requested pattern's mask generated from their magnitudes, and the
+ * result reduced to per-block tasks plus the requested storage
+ * format's stream profile (format::streamProfile, computed from the
+ * mask's counts — no encoding is materialized). Layers too large to materialize are row-sampled on the
  * block grid and linearly rescaled (documented in DESIGN.md).
  */
 

@@ -17,6 +17,7 @@
 
 #include "core/matrix.hpp"
 #include "models.hpp"
+#include "util/rng.hpp"
 
 namespace tbstc::workload {
 
@@ -29,6 +30,19 @@ uint64_t nameHash(const std::string &name);
  */
 core::Matrix synthWeights(const GemmShape &shape, uint64_t seed,
                           uint64_t max_rows = 0);
+
+/**
+ * synthWeights' generator on an explicit stream: draws a rows x cols
+ * matrix from @p rng exactly as synthWeights draws from its seeded
+ * one. The rows are split into @p chunks ranges of whole 8-row blocks;
+ * a serial pass walks the stream's words to checkpoint each range's
+ * start, then the ranges are transformed in parallel. The result is
+ * identical for every @p chunks >= 1 (1 is the plain serial walk).
+ * Exposed so tests can drive rare stream events (a Box-Muller u1
+ * rejection) from a crafted generator state.
+ */
+core::Matrix synthFromStream(util::Rng rng, uint64_t rows, uint64_t cols,
+                             size_t chunks);
 
 /** Synthesize a calibration activation batch (samples x features). */
 core::Matrix synthActivations(uint64_t samples, uint64_t features,

@@ -157,10 +157,11 @@ TEST(MaskPackedOps, CountsMatchByteReference)
                          1.0
                              - static_cast<double>(ham)
                                    / static_cast<double>(a.size()));
-        if (b.nnz() > 0)
+        if (b.nnz() > 0) {
             EXPECT_DOUBLE_EQ(a.overlap(b),
                              static_cast<double>(both)
                                  / static_cast<double>(b.nnz()));
+        }
     }
 }
 

@@ -142,8 +142,9 @@ TEST(ObsCompensate, RespectsMask)
     obsCompensate(w, mask, choleskyUpper(hinv));
     for (size_t r = 0; r < w.rows(); ++r)
         for (size_t c = 0; c < w.cols(); ++c)
-            if (!mask.at(r, c))
+            if (!mask.at(r, c)) {
                 EXPECT_EQ(w.at(r, c), 0.0f);
+            }
 }
 
 TEST(ObsCompensate, NoOpOnFullMask)

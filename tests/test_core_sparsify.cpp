@@ -5,11 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <span>
+#include <vector>
 
 #include "core/prune.hpp"
 #include "core/sparsify.hpp"
 #include "util/logging.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -51,6 +57,137 @@ TEST(UsMask, ZeroAndFullSparsity)
     const Matrix s = randomScores(8, 8, 2);
     EXPECT_EQ(usMask(s, 0.0).nnz(), 64u);
     EXPECT_EQ(usMask(s, 1.0).nnz(), 0u);
+}
+
+/**
+ * The global top-k rule usMask kept before its radix select, verbatim:
+ * nth_element finds the k-th largest score, everything strictly above
+ * it is kept, and the lowest-indexed elements equal to it fill the
+ * remaining slots.
+ */
+std::vector<uint8_t>
+nthElementTopK(std::span<const float> vals, size_t n)
+{
+    std::vector<uint8_t> keep(vals.size());
+    if (n >= vals.size()) {
+        std::fill(keep.begin(), keep.end(), uint8_t{1});
+        return keep;
+    }
+    if (n == 0)
+        return keep;
+    if (n + 1 == vals.size()) {
+        size_t worst = 0;
+        for (size_t i = 1; i < vals.size(); ++i)
+            if (vals[i] <= vals[worst])
+                worst = i;
+        std::fill(keep.begin(), keep.end(), uint8_t{1});
+        keep[worst] = 0;
+        return keep;
+    }
+    std::vector<float> scratch(vals.begin(), vals.end());
+    std::nth_element(scratch.begin(), scratch.begin() + (n - 1),
+                     scratch.end(), std::greater<float>());
+    const float threshold = scratch[n - 1];
+    size_t ties = n;
+    for (const float v : vals)
+        ties -= v > threshold;
+    for (size_t i = 0; i < vals.size(); ++i) {
+        uint8_t k = vals[i] > threshold;
+        if (vals[i] == threshold && ties > 0) {
+            k = 1;
+            --ties;
+        }
+        keep[i] = k;
+    }
+    return keep;
+}
+
+/** usMask at exactly @p k kept elements, checked against the old rule. */
+void
+expectRadixMatchesNthElement(const Matrix &s, size_t k)
+{
+    const double n = static_cast<double>(s.size());
+    const double sparsity = (n - static_cast<double>(k)) / n;
+    const std::vector<uint8_t> want = nthElementTopK(s.data(), k);
+    for (size_t threads : {size_t{1}, size_t{3}, size_t{8}}) {
+        tbstc::util::ThreadScope scope(threads);
+        const Mask got = usMask(s, sparsity);
+        ASSERT_EQ(got.nnz(), k) << "threads=" << threads;
+        EXPECT_EQ(got.toBytes(), want)
+            << s.rows() << "x" << s.cols() << " k=" << k
+            << " threads=" << threads;
+    }
+}
+
+TEST(UsMask, RadixSelectMatchesNthElementRuleOnAdversarialScores)
+{
+    const float denorm = std::numeric_limits<float>::denorm_min();
+    Rng rng(77);
+    std::vector<Matrix> cases;
+    cases.emplace_back(9, 70); // All equal (zero).
+    cases.emplace_back(Matrix(13, 64, std::vector<float>(13 * 64, 0.5f)));
+    {
+        // Many ties at any threshold: a handful of distinct values.
+        Matrix m(17, 96);
+        for (auto &v : m.data())
+            v = static_cast<float>(rng.below(4)) * 0.25f;
+        cases.push_back(std::move(m));
+    }
+    {
+        // Signed zeros interleaved with zeros and small values: -0.0
+        // and +0.0 compare equal, so they tie.
+        Matrix m(8, 65);
+        for (auto &v : m.data()) {
+            const uint64_t pick = rng.below(4);
+            v = pick == 0 ? -0.0f : pick == 1 ? 0.0f
+                : pick == 2 ? denorm : -denorm;
+        }
+        cases.push_back(std::move(m));
+    }
+    {
+        // Negatives, subnormals, normals and infinities mixed.
+        Matrix m(21, 33);
+        for (auto &v : m.data()) {
+            switch (rng.below(6)) {
+              case 0: v = -static_cast<float>(rng.uniform()); break;
+              case 1: v = denorm * static_cast<float>(1 + rng.below(9));
+                      break;
+              case 2: v = -denorm * static_cast<float>(1 + rng.below(9));
+                      break;
+              case 3: v = static_cast<float>(rng.gaussian()) * 1e30f; break;
+              case 4: v = rng.below(2) == 0
+                          ? std::numeric_limits<float>::infinity()
+                          : -std::numeric_limits<float>::infinity();
+                      break;
+              default: v = static_cast<float>(rng.gaussian()); break;
+            }
+        }
+        cases.push_back(std::move(m));
+    }
+    cases.push_back(randomScores(64, 128, 5)); // Realistic |w|.
+    for (const Matrix &s : cases) {
+        const size_t n = s.size();
+        for (size_t k : {size_t{0}, size_t{1}, n / 3, n / 2, n - 1, n})
+            expectRadixMatchesNthElement(s, k);
+    }
+}
+
+TEST(UsMask, RadixSelectMatchesNthElementRuleOnRandomTies)
+{
+    // Random small value alphabets, so the threshold key is shared by
+    // elements in many chunks and the tie budget must split in index
+    // order across them.
+    Rng rng(4242);
+    for (int trial = 0; trial < 30; ++trial) {
+        const size_t rows = 1 + rng.below(40);
+        const size_t cols = 1 + rng.below(150);
+        const uint64_t alphabet = 1 + rng.below(5);
+        Matrix s(rows, cols);
+        for (auto &v : s.data())
+            v = static_cast<float>(rng.below(alphabet))
+                - static_cast<float>(alphabet / 2);
+        expectRadixMatchesNthElement(s, rng.below(s.size() + 1));
+    }
 }
 
 TEST(TsMask, RespectsTileConstraint)

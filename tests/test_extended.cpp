@@ -313,9 +313,11 @@ TEST(Degenerate, LlamaShapesGated)
         gates += l.name.find("gate") != std::string::npos;
     EXPECT_EQ(gates, 32u);
     // 11008 pads to a multiple of 8 unchanged.
-    for (const auto &l : layers)
-        if (l.name.find("down") != std::string::npos)
+    for (const auto &l : layers) {
+        if (l.name.find("down") != std::string::npos) {
             EXPECT_EQ(l.y, 11008u);
+        }
+    }
 }
 
 } // namespace

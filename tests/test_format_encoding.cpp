@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
+#include <utility>
 
 #include "core/prune.hpp"
 #include "core/sparsify.hpp"
@@ -166,6 +169,168 @@ TEST(BitmapEncoding, BytesAreValuesPlusBitmap)
     const auto p = enc->streamProfile(8);
     EXPECT_EQ(p.segments, 2u);
     EXPECT_DOUBLE_EQ(p.redundancy(), 0.0);
+}
+
+/** Every format's encoder, for the closed-form differential. */
+std::unique_ptr<Encoding>
+encodeAs(StorageFormat fmt, const Matrix &w, const Mask &mask,
+         const TbsMeta &meta)
+{
+    switch (fmt) {
+      case StorageFormat::Dense:  return encodeDense(w);
+      case StorageFormat::SDC:    return encodeSdc(w, mask);
+      case StorageFormat::CSR:    return encodeCsr(w, mask);
+      case StorageFormat::DDC:    return encodeDdc(w, mask, meta);
+      case StorageFormat::Bitmap: return encodeBitmap(w, mask);
+    }
+    return nullptr;
+}
+
+constexpr StorageFormat kAllFormats[] = {
+    StorageFormat::Dense, StorageFormat::SDC, StorageFormat::CSR,
+    StorageFormat::DDC, StorageFormat::Bitmap};
+
+void
+expectClosedFormMatches(StorageFormat fmt, const Matrix &w,
+                        const Mask &mask, const TbsMeta &meta, size_t m)
+{
+    SCOPED_TRACE(formatName(fmt) + " " + std::to_string(mask.rows()) + "x"
+                 + std::to_string(mask.cols()) + " m="
+                 + std::to_string(m));
+    const StreamProfile want = encodeAs(fmt, w, mask, meta)->streamProfile(m);
+    const StreamProfile got = streamProfile(fmt, mask, meta, m);
+    EXPECT_EQ(got.payloadBytes, want.payloadBytes);
+    EXPECT_EQ(got.usefulBytes, want.usefulBytes);
+    EXPECT_EQ(got.segments, want.segments);
+}
+
+/** Random mask whose rows range from empty to full. */
+Mask
+fuzzMask(Rng &rng, size_t rows, size_t cols)
+{
+    Mask mask(rows, cols);
+    for (size_t r = 0; r < rows; ++r) {
+        const uint64_t mode = rng.below(6);
+        const double density = mode == 0 ? 0.0
+            : mode == 1                  ? 1.0
+                                         : rng.uniform();
+        for (size_t c = 0; c < cols; ++c)
+            mask.at(r, c) = rng.uniform() < density ? 1 : 0;
+    }
+    return mask;
+}
+
+/** Random per-block metadata on the mask's block grid. */
+TbsMeta
+fuzzMeta(Rng &rng, size_t rows, size_t cols, size_t m)
+{
+    TbsMeta meta;
+    meta.m = m;
+    meta.blockRows = rows / m;
+    meta.blockCols = cols / m;
+    meta.blocks.resize(meta.blockRows * meta.blockCols);
+    for (auto &b : meta.blocks)
+        b = {static_cast<uint8_t>(rng.below(m + 1)),
+             rng.below(2) == 0 ? SparsityDim::Reduction
+                               : SparsityDim::Independent};
+    return meta;
+}
+
+TEST(StreamProfileClosedForm, MatchesEncodersOnFuzzedGeometries)
+{
+    Rng rng(2024);
+    for (size_t m : {size_t{4}, size_t{8}, size_t{16}, size_t{32}}) {
+        for (int trial = 0; trial < 12; ++trial) {
+            // Block-aligned shapes for every format, DDC included.
+            const size_t rows = m * (1 + rng.below(6));
+            const size_t cols = m * (1 + rng.below(9));
+            Matrix w(rows, cols);
+            for (auto &v : w.data())
+                v = static_cast<float>(rng.gaussian());
+            const Mask mask = fuzzMask(rng, rows, cols);
+            const TbsMeta meta = fuzzMeta(rng, rows, cols, m);
+            for (StorageFormat fmt : kAllFormats)
+                expectClosedFormMatches(fmt, w, mask, meta, m);
+
+            // Ragged tails: block-unaligned shapes for the formats
+            // that accept them (DDC needs the block grid).
+            const size_t rr = 1 + rng.below(3 * m);
+            const size_t rc = 1 + rng.below(5 * m);
+            Matrix rw(rr, rc);
+            const Mask rmask = fuzzMask(rng, rr, rc);
+            for (StorageFormat fmt : kAllFormats)
+                if (fmt != StorageFormat::DDC)
+                    expectClosedFormMatches(fmt, rw, rmask, {}, m);
+        }
+    }
+}
+
+TEST(StreamProfileClosedForm, EmptyAndFullMasks)
+{
+    for (size_t m : {size_t{4}, size_t{8}, size_t{16}, size_t{32}}) {
+        const size_t rows = 2 * m;
+        const size_t cols = 3 * m;
+        const Matrix w(rows, cols);
+        Mask empty(rows, cols);
+        Mask full(rows, cols);
+        for (size_t r = 0; r < rows; ++r)
+            for (size_t c = 0; c < cols; ++c)
+                full.at(r, c) = 1;
+        TbsMeta meta;
+        meta.m = m;
+        meta.blockRows = 2;
+        meta.blockCols = 3;
+        meta.blocks.assign(6, {0, SparsityDim::Reduction});
+        for (StorageFormat fmt : kAllFormats)
+            expectClosedFormMatches(fmt, w, empty, meta, m);
+        meta.blocks.assign(6, {static_cast<uint8_t>(m),
+                               SparsityDim::Reduction});
+        for (StorageFormat fmt : kAllFormats)
+            expectClosedFormMatches(fmt, w, full, meta, m);
+    }
+    // Degenerate shapes: one row, one column, a single element.
+    for (auto [r, c] : {std::pair<size_t, size_t>{1, 37}, {37, 1}, {1, 1}}) {
+        const Matrix w(r, c);
+        Mask mask(r, c);
+        mask.at(0, 0) = 1;
+        for (StorageFormat fmt : kAllFormats)
+            if (fmt != StorageFormat::DDC)
+                expectClosedFormMatches(fmt, w, mask, {}, 8);
+    }
+}
+
+TEST(StreamProfileClosedForm, TbsMasksWithDensifiedBlocks)
+{
+    // The profile builder's real inputs: Alg. 1 masks, with some
+    // independent-dimension blocks densified the way hardware without
+    // the codec falls back.
+    for (size_t m : {size_t{4}, size_t{8}, size_t{16}, size_t{32}}) {
+        const size_t rows = 4 * m;
+        const size_t cols = 6 * m;
+        const Matrix w = tbstc::workload::synthWeights(
+            {"closed-form", rows, cols, 1}, m);
+        const Matrix scores = magnitudeScores(w);
+        TbsResult tbs = tbsMask(scores, 0.625, m, defaultCandidates(m));
+        for (StorageFormat fmt : kAllFormats)
+            expectClosedFormMatches(fmt, w, tbs.mask, tbs.meta, m);
+        size_t densified = 0;
+        for (size_t br = 0; br < tbs.meta.blockRows; ++br) {
+            for (size_t bc = 0; bc < tbs.meta.blockCols; ++bc) {
+                auto &info = tbs.meta.block(br, bc);
+                if (info.dim != SparsityDim::Independent
+                    || (br + bc) % 2 != 0)
+                    continue;
+                info = {static_cast<uint8_t>(m), SparsityDim::Reduction};
+                for (size_t r = 0; r < m; ++r)
+                    for (size_t c = 0; c < m; ++c)
+                        tbs.mask.at(br * m + r, bc * m + c) = 1;
+                ++densified;
+            }
+        }
+        EXPECT_GT(densified, 0u);
+        for (StorageFormat fmt : kAllFormats)
+            expectClosedFormMatches(fmt, w, tbs.mask, tbs.meta, m);
+    }
 }
 
 TEST(FormatName, AllNamed)

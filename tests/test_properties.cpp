@@ -54,10 +54,11 @@ std::string
 serializeSweepName(
     const ::testing::TestParamInfo<std::tuple<double, size_t>> &info)
 {
-    return "s"
-        + std::to_string(
-            static_cast<int>(std::get<0>(info.param) * 1000))
-        + "_d" + std::to_string(std::get<1>(info.param));
+    std::string name = "s";
+    name += std::to_string(static_cast<int>(std::get<0>(info.param) * 1000));
+    name += "_d";
+    name += std::to_string(std::get<1>(info.param));
+    return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -193,8 +194,9 @@ TEST_P(CodecFuzz, ConversionIsLossless)
     for (size_t i = 0; i < out.values.size(); ++i)
         out_set.emplace(out.values[i], out.rids[i], out.iids[i]);
     EXPECT_EQ(in_set, out_set);
-    if (!storage.empty())
+    if (!storage.empty()) {
         EXPECT_GE(out.cycles, (storage.size() + 1) / 2);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CodecFuzz,

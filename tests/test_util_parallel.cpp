@@ -2,13 +2,15 @@
  * @file
  * Tests of the deterministic parallel execution layer: pool basics
  * (full index coverage, ordered results), exception propagation,
- * ordered-reduction bit-identity across thread counts, nested-region
- * safety, and the worker-count resolution chain.
+ * ordered-reduction bit-identity across thread counts, nested regions
+ * (deadlock freedom, idle-worker help, exceptions), concurrent
+ * submitters, and the worker-count resolution chain.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
@@ -155,6 +157,100 @@ TEST(Parallel, NestedRegionsRunInlineWithoutDeadlock)
     });
     for (size_t s : inner_sums)
         EXPECT_EQ(s, 4950u);
+}
+
+TEST(Parallel, NestedRegionRunsOnIdleWorkers)
+{
+    // Two outer chunks on a four-worker pool leave two workers idle;
+    // each inner region must reach them. Inner chunk 0 holds its
+    // thread until another thread has run a chunk of the same region,
+    // which an inline nested region could never satisfy.
+    util::ThreadScope scope(4);
+    std::vector<int> helped(2, 0);
+    util::parallelFor(2, 1, [&](size_t outer, size_t) {
+        std::atomic<bool> other{false};
+        std::thread::id first;
+        std::atomic<bool> first_set{false};
+        util::parallelFor(8, 1, [&](size_t inner, size_t) {
+            if (inner != 0) {
+                while (!first_set.load())
+                    std::this_thread::yield();
+                if (std::this_thread::get_id() != first)
+                    other.store(true);
+                return;
+            }
+            first = std::this_thread::get_id();
+            first_set.store(true);
+            const auto deadline = std::chrono::steady_clock::now()
+                + std::chrono::seconds(20);
+            while (!other.load()
+                   && std::chrono::steady_clock::now() < deadline)
+                std::this_thread::yield();
+        });
+        helped[outer] = other.load() ? 1 : 0;
+    });
+    EXPECT_EQ(helped[0], 1);
+    EXPECT_EQ(helped[1], 1);
+}
+
+TEST(Parallel, ThreeLevelNestingPropagatesInnerException)
+{
+    util::ThreadScope scope(4);
+    const auto nest = [](std::atomic<size_t> &leaves, bool fail) {
+        util::parallelFor(3, 1, [&](size_t a, size_t) {
+            util::parallelFor(3, 1, [&](size_t b, size_t) {
+                util::parallelFor(4, 1, [&](size_t c, size_t) {
+                    if (fail && a == 1 && b == 2 && c == 3)
+                        throw std::runtime_error("leaf 1.2.3");
+                    leaves.fetch_add(1);
+                });
+            });
+        });
+    };
+    for (int rep = 0; rep < 25; ++rep) {
+        std::atomic<size_t> leaves{0};
+        try {
+            nest(leaves, true);
+            FAIL() << "expected a rethrow";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "leaf 1.2.3");
+        }
+        EXPECT_EQ(leaves.load(), 35u); // Every other leaf still ran.
+    }
+    std::atomic<size_t> leaves{0};
+    nest(leaves, false);
+    EXPECT_EQ(leaves.load(), 36u);
+}
+
+TEST(Parallel, ConcurrentSubmittersShareThePool)
+{
+    // Submitters on unrelated threads each get their own batch on the
+    // shared pool; every region still covers its range exactly once.
+    std::vector<std::thread> threads;
+    std::vector<int> ok(4, 0);
+    for (size_t t = 0; t < ok.size(); ++t) {
+        threads.emplace_back([&, t] {
+            util::ThreadScope scope(4);
+            bool good = true;
+            for (int rep = 0; rep < 40; ++rep) {
+                const uint64_t sum = util::orderedReduce<uint64_t>(
+                    1000, 7, uint64_t{0},
+                    [](size_t b, size_t e) {
+                        uint64_t acc = 0;
+                        for (size_t i = b; i < e; ++i)
+                            acc += i;
+                        return acc;
+                    },
+                    [](uint64_t a, uint64_t b) { return a + b; });
+                good = good && sum == 499500u;
+            }
+            ok[t] = good ? 1 : 0;
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+    for (int v : ok)
+        EXPECT_EQ(v, 1);
 }
 
 TEST(Parallel, EffectiveThreadsResolution)

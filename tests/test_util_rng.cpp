@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numbers>
 #include <set>
 
 #include "util/logging.hpp"
@@ -140,6 +141,79 @@ TEST(Rng, SplitProducesIndependentStream)
     for (int i = 0; i < 100; ++i)
         same += a.next() == b.next();
     EXPECT_LT(same, 2);
+}
+
+TEST(Rng, StateRoundTripResumesStream)
+{
+    Rng a(77);
+    for (int i = 0; i < 5; ++i) // Odd count: a Box-Muller spare pends.
+        a.gaussian();
+    const Rng::State st = a.state();
+    EXPECT_TRUE(st.haveSpare);
+    Rng b(st);
+    for (int i = 0; i < 50; ++i) {
+        EXPECT_EQ(a.gaussian(), b.gaussian());
+        EXPECT_EQ(a.heavyTail(), b.heavyTail());
+        EXPECT_EQ(a.next(), b.next());
+    }
+}
+
+TEST(Rng, SkipsConsumeTheWordsOfTheDrawTheyReplace)
+{
+    for (uint64_t seed : {1u, 2u, 3u}) {
+        Rng drawn(seed);
+        Rng skipped(seed);
+        for (int i = 0; i < 101; ++i) {
+            drawn.heavyTail();
+            skipped.skipHeavyTails(1);
+            drawn.gaussian();
+            skipped.skipGaussian();
+        }
+        for (int i = 0; i < 37; ++i)
+            drawn.heavyTail();
+        skipped.skipHeavyTails(37);
+        drawn.gaussian();
+        skipped.skipGaussian(); // Leaves a deferred spare pending.
+        const Rng::State ds = drawn.state();
+        const Rng::State ss = skipped.state();
+        for (int i = 0; i < 4; ++i)
+            EXPECT_EQ(ds.s[i], ss.s[i]);
+        EXPECT_EQ(ds.haveSpare, ss.haveSpare);
+        EXPECT_EQ(ds.spare, ss.spare);
+        // The deferred spare is the value gaussian() would have kept.
+        EXPECT_EQ(drawn.gaussian(), skipped.gaussian());
+        EXPECT_EQ(drawn.next(), skipped.next());
+    }
+}
+
+TEST(Rng, GaussianRedrawsAZeroU1)
+{
+    // xoshiro256** outputs rotl(s1 * 5, 7) * 9, so s1 == 0 makes the
+    // next word 0: u1 = 0 must be rejected and redrawn (log(0) is
+    // -inf). The redraw consumes a third word.
+    Rng::State st;
+    st.s[0] = 0x0123456789abcdefull;
+    st.s[1] = 0;
+    st.s[2] = 0xfedcba9876543210ull;
+    st.s[3] = 0x0f1e2d3c4b5a6978ull;
+    Rng words(st);
+    EXPECT_EQ(words.next(), 0u);
+    const double u2 = words.uniform();
+    const double u1 = words.uniform();
+    ASSERT_GT(u1, 1e-300);
+    const double mag = std::sqrt(-2.0 * std::log(u1));
+
+    Rng drawn(st);
+    EXPECT_EQ(drawn.gaussian(),
+              mag * std::cos(2.0 * std::numbers::pi * u2));
+    EXPECT_EQ(drawn.gaussian(),
+              mag * std::sin(2.0 * std::numbers::pi * u2));
+
+    Rng skipped(st);
+    skipped.skipGaussian();
+    EXPECT_EQ(skipped.gaussian(),
+              mag * std::sin(2.0 * std::numbers::pi * u2));
+    EXPECT_EQ(skipped.next(), words.next());
 }
 
 } // namespace
