@@ -15,7 +15,7 @@
 
 #include "core/blockstats.hpp"
 #include "core/prune.hpp"
-#include "core/sparsify.hpp"
+#include "core/mask_search.hpp"
 #include "format/codec.hpp"
 #include "format/encoding.hpp"
 #include "kernels/kernels.hpp"
@@ -68,9 +68,10 @@ void
 BM_TbsMask(benchmark::State &state)
 {
     const auto scores = benchScores(state.range(0));
-    const auto cand = core::defaultCandidates(8);
+    core::MaskRequest req;
+    req.sparsity = 0.75;
     for (auto _ : state)
-        benchmark::DoNotOptimize(core::tbsMask(scores, 0.75, 8, cand));
+        benchmark::DoNotOptimize(core::tryMakeMask(scores, req));
     state.SetItemsProcessed(state.iterations() * scores.size());
 }
 BENCHMARK(BM_TbsMask)->Arg(256)->Arg(512);
@@ -79,9 +80,11 @@ void
 BM_RsvMask(benchmark::State &state)
 {
     const auto scores = benchScores(state.range(0));
-    const auto cand = core::defaultCandidates(8);
+    core::MaskRequest req;
+    req.pattern = core::Pattern::RSV;
+    req.sparsity = 0.75;
     for (auto _ : state)
-        benchmark::DoNotOptimize(core::rsvMask(scores, 0.75, 8, cand));
+        benchmark::DoNotOptimize(core::tryMakeMask(scores, req));
 }
 BENCHMARK(BM_RsvMask)->Arg(256);
 
@@ -91,8 +94,9 @@ BM_DdcEncode(benchmark::State &state)
     const auto w = workload::synthWeights(
         {"kernel-bench", 512, 512, 1}, 1);
     const auto scores = core::magnitudeScores(w);
-    const auto res =
-        core::tbsMask(scores, 0.75, 8, core::defaultCandidates(8));
+    core::MaskRequest req;
+    req.sparsity = 0.75;
+    const auto res = core::tryMakeMask(scores, req).value();
     for (auto _ : state)
         benchmark::DoNotOptimize(
             format::encodeDdc(w, res.mask, res.meta));
@@ -172,7 +176,7 @@ BENCHMARK(BM_BuildLayerProfile);
 // --------------------------------------------------------------------
 // Packed-mask kernels: the word-parallel primitives the bit-packed
 // Mask replaced byte loops with. Throughput here is what the 3x
-// blockstats / 2x tbsMask end-to-end speedups are built from.
+// blockstats / 2x TBS mask end-to-end speedups are built from.
 // --------------------------------------------------------------------
 
 core::Mask

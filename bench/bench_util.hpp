@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "accel/accelerator.hpp"
+#include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
@@ -56,7 +57,7 @@ class BenchReport
     {
         if (path_.empty())
             return;
-        std::string json = "    {\"name\": " + quote(name)
+        std::string json = "    {\"name\": " + obs::jsonQuote(name)
             + ", \"header\": " + cells(t.header()) + ", \"rows\": [";
         for (size_t r = 0; r < t.data().size(); ++r)
             json += (r ? ", " : "") + cells(t.data()[r]);
@@ -88,7 +89,7 @@ class BenchReport
                      "  \"wall_ms\": %.3f,\n  \"peak_rss_kb\": %ld,\n"
                      "  \"threads\": %zu,\n  \"metrics\": %s,\n"
                      "  \"tables\": [\n",
-                     quote(bench_).c_str(), wall, wall * 1e3,
+                     obs::jsonQuote(bench_).c_str(), wall, wall * 1e3,
                      ru.ru_maxrss, util::effectiveThreads(),
                      metrics.c_str());
         for (size_t i = 0; i < tables_.size(); ++i)
@@ -105,36 +106,11 @@ class BenchReport
     using Clock = std::chrono::steady_clock;
 
     static std::string
-    quote(const std::string &s)
-    {
-        std::string out = "\"";
-        for (const char c : s) {
-            switch (c) {
-              case '"':  out += "\\\""; break;
-              case '\\': out += "\\\\"; break;
-              case '\n': out += "\\n"; break;
-              case '\t': out += "\\t"; break;
-              case '\r': out += "\\r"; break;
-              default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x",
-                                  static_cast<unsigned>(c));
-                    out += buf;
-                } else {
-                    out += c;
-                }
-            }
-        }
-        return out + "\"";
-    }
-
-    static std::string
     cells(const std::vector<std::string> &row)
     {
         std::string out = "[";
         for (size_t i = 0; i < row.size(); ++i)
-            out += (i ? ", " : "") + quote(row[i]);
+            out += (i ? ", " : "") + obs::jsonQuote(row[i]);
         return out + "]";
     }
 

@@ -16,7 +16,7 @@
 #include "bench_util.hpp"
 #include "core/blockstats.hpp"
 #include "core/prune.hpp"
-#include "core/sparsify.hpp"
+#include "core/mask_search.hpp"
 #include "workload/models.hpp"
 #include "workload/synth.hpp"
 
@@ -42,8 +42,9 @@ main()
         const auto &shape = layers[li];
         const auto w = workload::synthWeights(shape, 42, 1024);
         const auto scores = core::magnitudeScores(w);
-        const auto res =
-            core::tbsMask(scores, 0.75, 8, core::defaultCandidates(8));
+        core::MaskRequest req;
+        req.sparsity = 0.75;
+        const auto res = core::tryMakeMask(scores, req).value();
         const auto d = core::directionDistribution(res.meta);
 
         const auto n = static_cast<double>(d.blocks);

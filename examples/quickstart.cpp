@@ -32,19 +32,29 @@ main()
     const core::Matrix w = workload::synthWeights(shape, /*seed=*/1);
     const core::Matrix scores = core::magnitudeScores(w);
 
+    // tryMakeMask is the one way to make a mask; a bad request comes
+    // back as a structured MaskError instead of a throw.
     const double sparsity = 0.75;
-    const core::TbsResult tbs = core::tbsMask(
-        scores, sparsity, /*m=*/8, core::defaultCandidates(8));
+    core::MaskRequest mreq;
+    mreq.pattern = core::Pattern::TBS;
+    mreq.sparsity = sparsity;
+    const auto made = core::tryMakeMask(scores, mreq);
+    if (!made) {
+        std::fprintf(stderr, "mask: %s\n", made.error().message.c_str());
+        return 1;
+    }
+    const core::MaskOutput &tbs = *made;
 
     std::printf("TBS mask: %zu x %zu, sparsity %.1f%% (target %.1f%%)\n",
                 tbs.mask.rows(), tbs.mask.cols(),
                 tbs.mask.sparsity() * 100.0, sparsity * 100.0);
 
     // --- 2. How close is it to unstructured pruning? --------------
-    const core::Mask us = core::usMask(scores, sparsity);
+    // usHamming is the distance to Alg. 1 step 1's unstructured mask.
+    const double size = static_cast<double>(tbs.mask.size());
     std::printf("similarity to the unstructured mask: %.1f%% "
                 "(paper Fig. 4(b): 85-92%%)\n",
-                tbs.mask.agreement(us) * 100.0);
+                (size - static_cast<double>(tbs.usHamming)) / size * 100.0);
 
     const auto dist = core::directionDistribution(tbs.meta);
     std::printf("block directions: %.1f%% row-wise, %.1f%% "

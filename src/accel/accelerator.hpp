@@ -73,9 +73,10 @@ struct RunRequest
     bool int8Weights = false;
 
     /**
-     * TBS mask-search strategy (core/mask_search.hpp registry name);
-     * empty = default greedy. Threaded into the ProfileSpec, so it is
-     * a determining input of the cached layer profile.
+     * TBS mask-search strategy (core/mask_search.hpp): "greedy" or
+     * "optimal"; empty = default greedy. Threaded into the
+     * ProfileSpec, so it is a determining input of the cached layer
+     * profile.
      */
     std::string maskStrategy;
 

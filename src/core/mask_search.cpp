@@ -1,9 +1,9 @@
 #include "mask_search.hpp"
 
-#include <algorithm>
-#include <map>
-#include <mutex>
+#include <iterator>
+#include <optional>
 
+#include "pattern_table.hpp"
 #include "util/fmt.hpp"
 #include "util/logging.hpp"
 
@@ -13,42 +13,88 @@ using util::unexpected;
 
 namespace {
 
-struct Registry
-{
-    std::mutex mu;
-    std::map<std::string, MaskStrategyFn> fns;
-};
+/** The closed strategy set; "" names row 0, the default. */
+constexpr std::string_view kStrategies[] = {kGreedyStrategy,
+                                            kOptimalStrategy};
 
-Registry &
-registry()
+/** Row of @p name in kStrategies, or nullopt when it names none. */
+std::optional<size_t>
+strategyRow(std::string_view name)
 {
-    static Registry reg;
-    static std::once_flag once;
-    std::call_once(once, [] {
-        reg.fns[kGreedyStrategy] =
-            [](const Matrix &scores, double sparsity, size_t m,
-               std::span<const uint8_t> candidates, TbsSearchStats *stats) {
-                TbsResult r = tbsMask(scores, sparsity, m, candidates);
-                if (stats != nullptr) {
-                    *stats = {};
-                    stats->blocks = r.meta.blocks.size();
-                }
-                return r;
-            };
-        reg.fns[kOptimalStrategy] =
-            [](const Matrix &scores, double sparsity, size_t m,
-               std::span<const uint8_t> candidates, TbsSearchStats *stats) {
-                return tbsMaskOptimal(scores, sparsity, m, candidates,
-                                      stats);
-            };
-    });
-    return reg;
+    if (name.empty())
+        return 0;
+    for (size_t i = 0; i < std::size(kStrategies); ++i)
+        if (kStrategies[i] == name)
+            return i;
+    return std::nullopt;
 }
 
 util::Unexpected<MaskError>
 fail(MaskErrorKind kind, std::string message)
 {
     return unexpected(MaskError{kind, std::move(message)});
+}
+
+/**
+ * tryMakeMask, with the usHamming step only when @p distance is set:
+ * validate @p req against the family's row, run Alg. 1 step 1 once if
+ * the family needs it, and generate.
+ */
+util::Result<MaskOutput, MaskError>
+makeMask(const Matrix &scores, const MaskRequest &req, bool distance)
+{
+    // Look the strategy up front even for non-TBS patterns: a typo'd
+    // strategy must never silently degrade to the default.
+    const std::optional<size_t> strategy = strategyRow(req.strategy);
+    if (!strategy)
+        return fail(MaskErrorKind::UnknownStrategy,
+                    util::formatStr("unknown mask strategy \"{}\"",
+                                    req.strategy));
+    if (!(req.sparsity >= 0.0 && req.sparsity <= 1.0))
+        return fail(MaskErrorKind::BadSparsity,
+                    util::formatStr("sparsity {} is outside [0, 1]",
+                                    req.sparsity));
+    if (req.m == 0)
+        return fail(MaskErrorKind::BadBlockSize, "block size m is 0");
+    const PatternSpec &spec = patternSpec(req.pattern);
+    if (spec.evenM && (req.m < 4 || req.m % 2 != 0 || req.m > 256))
+        return fail(MaskErrorKind::BadBlockSize,
+                    util::formatStr("{} requires an even block size in "
+                                    "[4, 256]; got {}",
+                                    spec.name, req.m));
+    if (scores.cols() % req.m != 0
+        || (spec.blocks && scores.rows() % req.m != 0))
+        return fail(MaskErrorKind::NotDivisible,
+                    util::formatStr(
+                        "matrix {}x{} does not tile by m = {} as {} "
+                        "requires; pad the workload first",
+                        scores.rows(), scores.cols(), req.m, spec.name));
+    for (const uint8_t c : req.candidates) {
+        if (c > req.m)
+            return fail(MaskErrorKind::BadCandidates,
+                        util::formatStr(
+                            "candidate N = {} exceeds block size m = {}",
+                            c, req.m));
+    }
+    const std::vector<uint8_t> candidates = spec.ladder
+        ? spec.ladder(req.m)
+        : req.candidates.empty() ? defaultCandidates(req.m)
+                                 : req.candidates;
+
+    const size_t target = targetNnz(scores.size(), req.sparsity);
+    const bool step1 = spec.step1 == Step1::Mask
+        || (distance && spec.step1 == Step1::Distance);
+    const Mask us = step1 ? usMask(scores, req.sparsity) : Mask();
+    MaskOutput out;
+    out.meta.m = req.m;
+    spec.generate({scores, req.sparsity, req.m, candidates, us, target,
+                   kStrategies[*strategy] == kOptimalStrategy},
+                  out);
+    if (distance)
+        out.usHamming = spec.step1 == Step1::None
+            ? scores.size() - target
+            : out.mask.hamming(us);
+    return out;
 }
 
 } // namespace
@@ -66,109 +112,37 @@ maskErrorKindName(MaskErrorKind kind)
     util::panic("unknown MaskErrorKind");
 }
 
-void
-registerMaskStrategy(const std::string &name, MaskStrategyFn fn)
-{
-    util::ensure(!name.empty(), "mask strategy name must be non-empty");
-    util::ensure(static_cast<bool>(fn), "mask strategy fn must be set");
-    Registry &reg = registry();
-    const std::lock_guard<std::mutex> lock(reg.mu);
-    reg.fns[name] = std::move(fn);
-}
-
 bool
-isMaskStrategy(const std::string &name)
+isMaskStrategy(std::string_view name)
 {
-    if (name.empty())
-        return true; // The default strategy.
-    Registry &reg = registry();
-    const std::lock_guard<std::mutex> lock(reg.mu);
-    return reg.fns.contains(name);
+    return strategyRow(name).has_value();
 }
 
-std::vector<std::string>
-maskStrategyNames()
+std::string
+canonicalMaskStrategy(std::string_view name)
 {
-    Registry &reg = registry();
-    const std::lock_guard<std::mutex> lock(reg.mu);
-    std::vector<std::string> names;
-    names.reserve(reg.fns.size());
-    for (const auto &[name, fn] : reg.fns)
-        names.push_back(name);
-    return names;
+    return name == kGreedyStrategy ? std::string() : std::string(name);
 }
 
 util::Result<MaskOutput, MaskError>
 tryMakeMask(const Matrix &scores, const MaskRequest &req)
 {
-    // Look the strategy up front even for non-TBS patterns: a typo'd
-    // strategy must never silently degrade to the default.
-    const std::string &strategy =
-        req.strategy.empty() ? kGreedyStrategy : req.strategy;
-    MaskStrategyFn fn;
-    {
-        Registry &reg = registry();
-        const std::lock_guard<std::mutex> lock(reg.mu);
-        const auto it = reg.fns.find(strategy);
-        if (it == reg.fns.end())
-            return fail(MaskErrorKind::UnknownStrategy,
-                        util::formatStr("unknown mask strategy \"{}\"",
-                                        strategy));
-        fn = it->second;
-    }
+    return makeMask(scores, req, /*distance=*/true);
+}
 
-    if (!(req.sparsity >= 0.0 && req.sparsity <= 1.0))
-        return fail(MaskErrorKind::BadSparsity,
-                    util::formatStr("sparsity {} is outside [0, 1]",
-                                    req.sparsity));
-    if (req.m == 0)
-        return fail(MaskErrorKind::BadBlockSize, "block size m is 0");
-    if (req.pattern == Pattern::SS && (req.m < 4 || req.m % 2 != 0))
-        return fail(
-            MaskErrorKind::BadBlockSize,
-            util::formatStr(
-                "SlideSparse requires an even block size >= 4; got {}",
-                req.m));
-
-    const bool blockwise = req.pattern == Pattern::TBS;
-    if (scores.cols() % req.m != 0
-        || (blockwise && scores.rows() % req.m != 0))
-        return fail(MaskErrorKind::NotDivisible,
-                    util::formatStr(
-                        "matrix {}x{} does not tile by m = {} as {} "
-                        "requires; pad the workload first",
-                        scores.rows(), scores.cols(), req.m,
-                        patternName(req.pattern)));
-
-    std::vector<uint8_t> candidates = req.candidates;
-    if (candidates.empty())
-        candidates = defaultCandidates(req.m);
-    for (const uint8_t c : candidates) {
-        if (c > req.m)
-            return fail(MaskErrorKind::BadCandidates,
-                        util::formatStr(
-                            "candidate N = {} exceeds block size m = {}",
-                            c, req.m));
-    }
-
-    MaskOutput out;
-    if (req.pattern == Pattern::TBS) {
-        TbsResult r =
-            fn(scores, req.sparsity, req.m, candidates, &out.stats);
-        out.mask = std::move(r.mask);
-        out.meta = std::move(r.meta);
-        out.usHamming = r.usHamming;
-        return out;
-    }
-    // Single-generator families: a known strategy is accepted but has
-    // nothing to select. Dense skips the Pattern::Dense sparsity==0
-    // mismatch question entirely: its mask keeps everything.
-    out.mask = patternMask(req.pattern, scores, req.sparsity, req.m,
-                           candidates);
-    out.meta.m = req.m;
-    out.usHamming =
-        out.mask.hamming(usMask(scores, req.sparsity));
-    return out;
+Mask
+patternMask(Pattern p, const Matrix &scores, double sparsity, size_t m,
+            std::span<const uint8_t> candidates)
+{
+    MaskRequest req;
+    req.pattern = p;
+    req.sparsity = sparsity;
+    req.m = m;
+    req.candidates.assign(candidates.begin(), candidates.end());
+    auto out = makeMask(scores, req, /*distance=*/false);
+    if (!out)
+        util::fatal("{}", out.error().message);
+    return std::move(out->mask);
 }
 
 } // namespace tbstc::core

@@ -1,34 +1,32 @@
 /**
  * @file
- * Strategy-aware mask-search surface.
+ * The mask-making entry point.
  *
- * tryMakeMask() is the primary entry point for producing a sparsity
- * mask: it validates a MaskRequest, dispatches the pattern family to
- * its generator, and — for TBS — routes the per-block search through a
- * pluggable strategy registry. Two strategies ship built in:
+ * tryMakeMask() is the one way to produce a sparsity mask: it
+ * validates a MaskRequest against the family's row of the pattern
+ * table (pattern_table.hpp), runs Alg. 1 step 1 (the unstructured
+ * top-k) once, and hands it to the family's generator. TBS has a
+ * closed set of two search strategies:
  *
- *   "greedy"  — paper Algorithm 1 (tbsMask): per block, rank-table
- *               top-N in each direction, keep the direction with the
- *               smaller L1 distance to the unstructured mask.
- *   "optimal" — TSENOR-style solver (tbsMaskOptimal): per block, the
- *               exact L1 optimum under the <=N constraint, with a
- *               Hungarian-style b-matching core. Never worse than
- *               greedy on any block; may undershoot the target nnz.
+ *   "greedy"  — paper Algorithm 1: per block, rank-table top-N in each
+ *               direction, keep the direction with the smaller L1
+ *               distance to the unstructured mask. The default.
+ *   "optimal" — TSENOR-style solver: per block, the exact L1 optimum
+ *               under the <=N constraint, with a Hungarian-style
+ *               b-matching core. Never worse than greedy on any block;
+ *               may undershoot the target nnz.
  *
  * Following the try*-primary convention (see serialize.hpp), the
  * function never throws for bad requests: it returns
  * Result<MaskOutput, MaskError> with a machine-readable error kind.
- * The free functions in sparsify.hpp remain available as byte-stable
- * legacy wrappers for callers that have already validated their
- * inputs.
  */
 
 #ifndef TBSTC_CORE_MASK_SEARCH_HPP
 #define TBSTC_CORE_MASK_SEARCH_HPP
 
-#include <functional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "matrix.hpp"
@@ -38,7 +36,7 @@
 
 namespace tbstc::core {
 
-/** Names of the built-in TBS search strategies. */
+/** Names of the two TBS search strategies. */
 inline constexpr const char *kGreedyStrategy = "greedy";
 inline constexpr const char *kOptimalStrategy = "optimal";
 
@@ -77,9 +75,9 @@ struct MaskOutput
 /** Machine-readable class of a rejected MaskRequest. */
 enum class MaskErrorKind : uint8_t
 {
-    UnknownStrategy, ///< Strategy name not in the registry.
+    UnknownStrategy, ///< Neither "greedy" nor "optimal" (nor "").
     BadSparsity,     ///< Sparsity outside [0, 1].
-    BadBlockSize,    ///< m == 0, or illegal for the pattern (SS parity).
+    BadBlockSize,    ///< m == 0, or illegal for the pattern (SS).
     NotDivisible,    ///< Matrix does not tile by m as the pattern needs.
     BadCandidates,   ///< A candidate N exceeds m.
 };
@@ -94,27 +92,15 @@ struct MaskError
     std::string message;
 };
 
-/**
- * A TBS search strategy: same contract as tbsMask/tbsMaskOptimal.
- * Inputs are pre-validated by tryMakeMask; the stats pointer may be
- * null.
- */
-using MaskStrategyFn = std::function<TbsResult(
-    const Matrix &scores, double sparsity, size_t m,
-    std::span<const uint8_t> candidates, TbsSearchStats *stats)>;
+/** Whether @p name is a strategy: "", "greedy" or "optimal". */
+bool isMaskStrategy(std::string_view name);
 
 /**
- * Register (or replace) a TBS search strategy under @p name. The two
- * built-ins are pre-registered; replacing them is allowed but dubious.
- * Thread-safe; names must be non-empty.
+ * The one spelling of @p name: "greedy" becomes "" (the default), so
+ * both build, key and batch as the same request. Other names pass
+ * through unchanged.
  */
-void registerMaskStrategy(const std::string &name, MaskStrategyFn fn);
-
-/** Whether @p name is a registered strategy ("" counts: the default). */
-bool isMaskStrategy(const std::string &name);
-
-/** Registered strategy names, sorted. */
-std::vector<std::string> maskStrategyNames();
+std::string canonicalMaskStrategy(std::string_view name);
 
 /**
  * Validate @p req and produce the mask. See the file comment for the
@@ -123,6 +109,14 @@ std::vector<std::string> maskStrategyNames();
  */
 util::Result<MaskOutput, MaskError> tryMakeMask(const Matrix &scores,
                                                 const MaskRequest &req);
+
+/**
+ * The mask alone, with the default strategy: tryMakeMask without the
+ * usHamming step (so TS runs no step 1). Throws FatalError where
+ * tryMakeMask would return an error.
+ */
+Mask patternMask(Pattern p, const Matrix &scores, double sparsity,
+                 size_t m, std::span<const uint8_t> candidates);
 
 } // namespace tbstc::core
 

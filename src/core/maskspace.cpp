@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "pattern_table.hpp"
 #include "util/combinatorics.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
@@ -103,16 +104,7 @@ log2MaskSpaceSs(size_t x, size_t y, size_t m)
 double
 log2MaskSpace(Pattern p, size_t x, size_t y, size_t m)
 {
-    switch (p) {
-      case Pattern::US:  return log2MaskSpaceUs(x, y);
-      case Pattern::TS:  return log2MaskSpaceTs(x, y, m);
-      case Pattern::RSV: return log2MaskSpaceRsv(x, y, m);
-      case Pattern::RSH: return log2MaskSpaceRsh(x, y, m);
-      case Pattern::TBS: return log2MaskSpaceTbs(x, y, m);
-      case Pattern::SS:  return log2MaskSpaceSs(x, y, m);
-      case Pattern::Dense: return 0.0;
-    }
-    util::panic("unknown Pattern");
+    return patternSpec(p).log2MaskSpace(x, y, m);
 }
 
 uint64_t

@@ -58,7 +58,7 @@ double log2MaskSpaceUs(size_t x, size_t y);
  */
 double log2MaskSpaceSs(size_t x, size_t y, size_t m);
 
-/** Dispatch over pattern families (US/TS/RSV/RSH/TBS/SS). */
+/** log2 mask-space of family @p p (0 for Dense), from the pattern table. */
 double log2MaskSpace(Pattern p, size_t x, size_t y, size_t m);
 
 /**

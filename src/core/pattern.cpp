@@ -1,22 +1,13 @@
 #include "pattern.hpp"
 
-#include "util/logging.hpp"
+#include "pattern_table.hpp"
 
 namespace tbstc::core {
 
 std::string
 patternName(Pattern p)
 {
-    switch (p) {
-      case Pattern::Dense: return "Dense";
-      case Pattern::US:    return "US";
-      case Pattern::TS:    return "TS";
-      case Pattern::RSV:   return "RS-V";
-      case Pattern::RSH:   return "RS-H";
-      case Pattern::TBS:   return "TBS";
-      case Pattern::SS:    return "SS";
-    }
-    util::panic("unknown Pattern");
+    return patternSpec(p).name;
 }
 
 std::string

@@ -18,6 +18,7 @@
 #ifndef TBSTC_CORE_PATTERN_HPP
 #define TBSTC_CORE_PATTERN_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -35,6 +36,9 @@ enum class Pattern : uint8_t
     TBS,   ///< Transposable block-wise N:M (this paper).
     SS,    ///< SlideSparse (2N-2):2N row tiles (arxiv 2603.05232).
 };
+
+/** Number of Pattern families; the enum counts up from 0. */
+inline constexpr size_t kPatternCount = 7;
 
 /** Human-readable pattern name as used in the paper's tables. */
 std::string patternName(Pattern p);

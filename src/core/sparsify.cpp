@@ -7,7 +7,10 @@
 #include <type_traits>
 
 #include "kernels/kernels.hpp"
+#include "mask_search.hpp"
+#include "maskspace.hpp"
 #include "obs/stage.hpp"
+#include "pattern_table.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
 
@@ -71,16 +74,6 @@ selectTopN(std::span<const float> vals, size_t n, std::span<uint8_t> keep,
         }
         keep[i] = k;
     }
-}
-
-/** Target number of kept elements for a sparsity degree. */
-size_t
-targetNnz(size_t total, double sparsity)
-{
-    if (sparsity < 0.0 || sparsity > 1.0)
-        fatal("sparsity degree {} is outside [0, 1]", sparsity);
-    const double keep = (1.0 - sparsity) * static_cast<double>(total);
-    return static_cast<size_t>(std::llround(keep));
 }
 
 /** One unit of the candidate-count fitting problem. */
@@ -158,25 +151,6 @@ fitCounts(std::span<const FitUnit> units,
     return n;
 }
 
-void
-checkBlockDivisibility(const Matrix &scores, size_t m)
-{
-    if (m == 0 || scores.rows() % m != 0 || scores.cols() % m != 0)
-        fatal("matrix {}x{} is not divisible into {}x{} blocks; pad the "
-              "workload to the block grid first",
-              scores.rows(), scores.cols(), m, m);
-}
-
-/** Row-wise patterns only tile along rows; rows may be ragged. */
-void
-checkTileDivisibility(const Matrix &scores, size_t m)
-{
-    if (m == 0 || scores.cols() % m != 0)
-        fatal("matrix {}x{} rows are not divisible into {}-element "
-              "tiles; pad the workload first",
-              scores.rows(), scores.cols(), m);
-}
-
 /**
  * Algorithm 1 step-2 input: per-block unstructured densities over the
  * M x M grid. Shared by the greedy and optimal TBS strategies so both
@@ -239,7 +213,7 @@ template <typename MT>
 void
 tbsScoreBlockRows(const Matrix &scores, const Mask &us,
                   std::span<const uint8_t> n, size_t block_cols, MT m,
-                  size_t begin, size_t end, TbsResult &out)
+                  size_t begin, size_t end, MaskOutput &out)
 {
     [[maybe_unused]] const auto rank_kernel = kernels::active().rank8x8;
     std::vector<float> blk(m * m);
@@ -373,7 +347,7 @@ struct OptScratch
 
 /**
  * Solve one M x M block to L1 optimality against the unstructured
- * mask (see tbsMaskOptimal's contract in sparsify.hpp). Fills
+ * mask (tbsMaskOptimal's step 3; docs/mask_search.md). Fills
  * s.keep with the block's final 0/1 image and returns the declared
  * direction; @p improved reports whether the optimum strictly beat
  * the greedy mapper's distance, @p transposable whether the final
@@ -583,10 +557,15 @@ optimalBlockSolve(const Matrix &scores, const Mask &us, size_t br,
     return use_row ? SparsityDim::Reduction : SparsityDim::Independent;
 }
 
-/** Pack one row tile of 0/1 bytes into the mask (len <= 64). */
+/** Store one row tile of 0/1 bytes at (r, c0). */
 void
-packTile(Mask &mask, size_t r, size_t c0, std::span<const uint8_t> keep)
+storeTile(Mask &mask, size_t r, size_t c0, std::span<const uint8_t> keep)
 {
+    if (keep.size() > 64) {
+        for (size_t i = 0; i < keep.size(); ++i)
+            mask.at(r, c0 + i) = keep[i];
+        return;
+    }
     uint64_t bits = 0;
     for (size_t i = 0; i < keep.size(); ++i)
         bits |= static_cast<uint64_t>(keep[i] != 0) << i;
@@ -612,6 +591,15 @@ constexpr unsigned kRadixBits = 12;
 constexpr unsigned kRadixShift = 32 - kRadixBits;
 
 } // namespace
+
+size_t
+targetNnz(size_t total, double sparsity)
+{
+    if (sparsity < 0.0 || sparsity > 1.0)
+        fatal("sparsity degree {} is outside [0, 1]", sparsity);
+    const double keep = (1.0 - sparsity) * static_cast<double>(total);
+    return static_cast<size_t>(std::llround(keep));
+}
 
 Mask
 usMask(const Matrix &scores, double sparsity)
@@ -719,74 +707,94 @@ usMask(const Matrix &scores, double sparsity)
     return mask;
 }
 
+namespace {
+
+/**
+ * Row-tile N:M materialization shared by TS, RS-V and SS: every
+ * m-element tile t of row r keeps its top nOf(r, t) scores.
+ */
+template <typename NOf>
 Mask
-tsMask(const Matrix &scores, size_t n, size_t m)
+rowTileMask(const Matrix &scores, size_t m, NOf nOf)
 {
-    checkTileDivisibility(scores, m);
-    ensure(n <= m, "tsMask requires n <= m");
     Mask mask(scores.rows(), scores.cols());
-    std::vector<float> tile(m);
     std::vector<uint8_t> keep(m);
     std::vector<float> scratch;
     for (size_t r = 0; r < scores.rows(); ++r) {
-        for (size_t t = 0; t < scores.cols(); t += m) {
-            for (size_t i = 0; i < m; ++i)
-                tile[i] = scores.at(r, t + i);
-            selectTopN(tile, n, keep, scratch);
-            if (m <= 64)
-                packTile(mask, r, t, keep);
-            else
-                for (size_t i = 0; i < m; ++i)
-                    mask.at(r, t + i) = keep[i];
+        const std::span<const float> row = scores.row(r);
+        for (size_t t = 0; t < scores.cols() / m; ++t) {
+            selectTopN(row.subspan(t * m, m), nOf(r, t), keep, scratch);
+            storeTile(mask, r, t * m, keep);
         }
     }
     return mask;
 }
 
-Mask
-rsvMask(const Matrix &scores, double sparsity, size_t m,
-        std::span<const uint8_t> candidates)
+void
+denseMask(const MaskJob &job, MaskOutput &out)
 {
-    checkTileDivisibility(scores, m);
-    const Mask us = usMask(scores, sparsity);
-    const size_t target = targetNnz(scores.size(), sparsity);
-    const size_t groups = scores.cols() / m;
+    out.mask = Mask(job.scores.rows(), job.scores.cols());
+    for (size_t r = 0; r < out.mask.rows(); ++r)
+        for (size_t c = 0; c < out.mask.cols(); ++c)
+            out.mask.at(r, c) = 1;
+}
 
+void
+usGenerate(const MaskJob &job, MaskOutput &out)
+{
+    out.mask = job.us;
+}
+
+/**
+ * Tile-wise N:M (NVIDIA STC style): every m-element row tile keeps its
+ * top N, with the fixed N derived from the target density (e.g. 50% ->
+ * 4:8).
+ */
+void
+tsMask(const MaskJob &job, MaskOutput &out)
+{
+    const auto n = std::min<size_t>(
+        static_cast<size_t>(std::llround(
+            (1.0 - job.sparsity) * static_cast<double>(job.m))),
+        job.m);
+    out.mask = rowTileMask(job.scores, job.m,
+                           [n](size_t, size_t) { return n; });
+}
+
+/**
+ * Row-wise N:M with per-row N (VEGETA). Each row picks the candidate N
+ * closest to its unstructured density; a global largest-remainder pass
+ * nudges rows so the whole matrix hits the target sparsity.
+ */
+void
+rsvMask(const MaskJob &job, MaskOutput &out)
+{
+    const Matrix &scores = job.scores;
+    const size_t groups = scores.cols() / job.m;
     std::vector<FitUnit> units(scores.rows());
     for (size_t r = 0; r < scores.rows(); ++r) {
-        units[r] = {static_cast<double>(us.rangeNnz(r, 0, scores.cols())),
-                    groups};
+        units[r] = {
+            static_cast<double>(job.us.rangeNnz(r, 0, scores.cols())),
+            groups};
     }
-    const std::vector<uint8_t> n = fitCounts(units, candidates, target);
-
-    Mask mask(scores.rows(), scores.cols());
-    std::vector<float> tile(m);
-    std::vector<uint8_t> keep(m);
-    std::vector<float> scratch;
-    for (size_t r = 0; r < scores.rows(); ++r) {
-        for (size_t t = 0; t < scores.cols(); t += m) {
-            for (size_t i = 0; i < m; ++i)
-                tile[i] = scores.at(r, t + i);
-            selectTopN(tile, n[r], keep, scratch);
-            if (m <= 64)
-                packTile(mask, r, t, keep);
-            else
-                for (size_t i = 0; i < m; ++i)
-                    mask.at(r, t + i) = keep[i];
-        }
-    }
-    return mask;
+    const std::vector<uint8_t> n =
+        fitCounts(units, job.candidates, job.target);
+    out.mask = rowTileMask(scores, job.m,
+                           [&n](size_t r, size_t) { return n[r]; });
 }
 
-Mask
-rshMask(const Matrix &scores, double sparsity, size_t m,
-        std::span<const uint8_t> /* candidates */)
+/**
+ * Row-wise hierarchical N:M (HighLight). Each super-group of M row
+ * tiles keeps T of its M tiles (tile-level N:M), and surviving tiles
+ * keep N0 of M elements, with (T, N0) chosen per super-group to match
+ * its unstructured density.
+ */
+void
+rshMask(const MaskJob &job, MaskOutput &out)
 {
-    checkTileDivisibility(scores, m);
-    const Mask us = usMask(scores, sparsity);
-    const size_t target = targetNnz(scores.size(), sparsity);
+    const Matrix &scores = job.scores;
+    const size_t m = job.m;
     const size_t tiles_per_row = scores.cols() / m;
-
     // Super-groups of up to M row tiles. HighLight's hierarchy: keep T
     // of the super-group's tiles; surviving tiles are either dense (M:M)
     // or half-dense (M/2:M), mirroring the structure of paper Eq. (3).
@@ -805,7 +813,7 @@ rshMask(const Matrix &scores, double sparsity, size_t m,
             s.row = r;
             s.tile0 = t0;
             s.tiles = std::min(m, tiles_per_row - t0);
-            s.us_nnz = us.rangeNnz(r, t0 * m, s.tiles * m);
+            s.us_nnz = job.us.rangeNnz(r, t0 * m, s.tiles * m);
             // Inner density from the average kept-per-surviving-tile:
             // dense inner tiles when the super-group is lightly pruned.
             const double density = static_cast<double>(s.us_nnz)
@@ -842,7 +850,7 @@ rshMask(const Matrix &scores, double sparsity, size_t m,
                               supers[u].n0});
         }
     }
-    long long deficit = static_cast<long long>(target) - total;
+    long long deficit = static_cast<long long>(job.target) - total;
     std::sort(promos.begin(), promos.end(),
               [](const Promo &a, const Promo &b) {
                   if (a.frac != b.frac)
@@ -862,7 +870,6 @@ rshMask(const Matrix &scores, double sparsity, size_t m,
     // Materialize: per super-group keep the T tiles with the largest
     // score mass, each at its inner density.
     Mask mask(scores.rows(), scores.cols());
-    std::vector<float> tile(m);
     std::vector<uint8_t> keep(m);
     std::vector<float> scratch;
     for (size_t u = 0; u < supers.size(); ++u) {
@@ -881,87 +888,82 @@ rshMask(const Matrix &scores, double sparsity, size_t m,
                       return a.second < b.second;
                   });
         for (size_t rank = 0; rank < t_count[u]; ++rank) {
-            const size_t t = mass[rank].second;
-            for (size_t i = 0; i < m; ++i)
-                tile[i] = scores.at(s.row, (s.tile0 + t) * m + i);
-            selectTopN(tile, s.n0, keep, scratch);
-            if (m <= 64)
-                packTile(mask, s.row, (s.tile0 + t) * m, keep);
-            else
-                for (size_t i = 0; i < m; ++i)
-                    mask.at(s.row, (s.tile0 + t) * m + i) = keep[i];
+            const size_t c0 = (mass[rank].second + s.tile0) * m;
+            selectTopN(scores.row(s.row).subspan(c0, m), s.n0, keep,
+                       scratch);
+            storeTile(mask, s.row, c0, keep);
         }
     }
-    return mask;
+    out.mask = std::move(mask);
 }
 
-TbsResult
-tbsMask(const Matrix &scores, double sparsity, size_t m,
-        std::span<const uint8_t> candidates)
+/**
+ * Alg. 1 step 2 for both TBS strategies: size out's mask and block
+ * grid and choose N per block from the step-1 block density (with a
+ * global balance pass so the matrix hits the target). The strategies
+ * differ only in the step-3 mapper.
+ */
+std::vector<uint8_t>
+tbsPrepare(const MaskJob &job, MaskOutput &out)
 {
-    checkBlockDivisibility(scores, m);
-    // Step 1: unstructured pruning at the target sparsity.
-    const Mask us = usMask(scores, sparsity);
-    const size_t target = targetNnz(scores.size(), sparsity);
-    const size_t block_rows = scores.rows() / m;
-    const size_t block_cols = scores.cols() / m;
-
-    // Step 2: choose N per block from the unstructured block density.
-    // Blocks are independent and write index-addressed slots, so the
-    // density scan parallelizes; the largest-remainder promotion pass
-    // inside fitCounts is a global ordered pass and stays serial.
-    const std::vector<uint8_t> n =
-        tbsFit(us, m, block_rows, block_cols, candidates, target);
-
-    // Step 3: per block, choose the pruning direction by L1 distance to
-    // the unstructured block mask.
-    TbsResult out;
-    out.mask = Mask(scores.rows(), scores.cols());
+    const size_t m = job.m;
+    const size_t block_rows = job.scores.rows() / m;
+    const size_t block_cols = job.scores.cols() / m;
+    out.mask = Mask(job.scores.rows(), job.scores.cols());
     out.meta.m = m;
     out.meta.blockRows = block_rows;
     out.meta.blockCols = block_cols;
     out.meta.blocks.resize(block_rows * block_cols);
+    // Blocks are independent and write index-addressed slots, so the
+    // density scan parallelizes; the largest-remainder promotion pass
+    // inside fitCounts is a global ordered pass and stays serial.
+    return tbsFit(job.us, m, block_rows, block_cols, job.candidates,
+                  job.target);
+}
 
+/**
+ * Transposable block-wise N:M (paper Algorithm 1), greedy step 3: per
+ * block, build the reduction-direction mask (top-N per row) and the
+ * independent-direction mask (top-N per column) and keep the one with
+ * the smaller L1 distance to the unstructured block mask.
+ */
+void
+tbsMask(const MaskJob &job, MaskOutput &out)
+{
+    const std::vector<uint8_t> n = tbsPrepare(job, out);
+    const size_t m = job.m;
+    const size_t block_cols = out.meta.blockCols;
     // Workers own whole block-rows: different block-rows never share a
     // packed mask word, so the parallel materialization stays race-free
     // and index-addressed (bit-identical at any thread count). The
     // per-block scoring itself lives in tbsScoreBlockRows.
     const obs::ScopedStage timed(tbsScoreStage());
-    util::parallelFor(block_rows, 0, [&](size_t begin, size_t end) {
+    util::parallelFor(out.meta.blockRows, 0, [&](size_t begin, size_t end) {
         if (m == 8)
-            tbsScoreBlockRows(scores, us, n, block_cols,
+            tbsScoreBlockRows(job.scores, job.us, n, block_cols,
                               std::integral_constant<size_t, 8>{},
                               begin, end, out);
         else
-            tbsScoreBlockRows(scores, us, n, block_cols, m, begin, end,
-                              out);
+            tbsScoreBlockRows(job.scores, job.us, n, block_cols, m, begin,
+                              end, out);
     });
-    // One word-wise XOR/popcount pass; maskSimilarity consumes this.
-    out.usHamming = out.mask.hamming(us);
-    return out;
+    out.stats = {};
+    out.stats.blocks = out.meta.blocks.size();
 }
 
-TbsResult
-tbsMaskOptimal(const Matrix &scores, double sparsity, size_t m,
-               std::span<const uint8_t> candidates, TbsSearchStats *stats)
+/**
+ * TSENOR-style optimal step 3 (see docs/mask_search.md): per block,
+ * the exact L1 optimum against the step-1 mask under the <=N
+ * constraint, with a Hungarian-style b-matching core. Never worse
+ * than greedy on any block; may undershoot the target nnz.
+ */
+void
+tbsMaskOptimal(const MaskJob &job, MaskOutput &out)
 {
-    checkBlockDivisibility(scores, m);
-    // Steps 1 and 2 are shared with the greedy strategy verbatim: same
-    // unstructured mask, same per-block N balance. Only the step-3
-    // mapper differs.
-    const Mask us = usMask(scores, sparsity);
-    const size_t target = targetNnz(scores.size(), sparsity);
-    const size_t block_rows = scores.rows() / m;
-    const size_t block_cols = scores.cols() / m;
-    const std::vector<uint8_t> n =
-        tbsFit(us, m, block_rows, block_cols, candidates, target);
-
-    TbsResult out;
-    out.mask = Mask(scores.rows(), scores.cols());
-    out.meta.m = m;
-    out.meta.blockRows = block_rows;
-    out.meta.blockCols = block_cols;
-    out.meta.blocks.resize(block_rows * block_cols);
+    const std::vector<uint8_t> n = tbsPrepare(job, out);
+    const size_t m = job.m;
+    const size_t block_rows = out.meta.blockRows;
+    const size_t block_cols = out.meta.blockCols;
 
     // Stats land in per-block-row slots and reduce serially below, so
     // the totals are bit-identical at any thread count, like the mask.
@@ -979,22 +981,10 @@ tbsMaskOptimal(const Matrix &scores, double sparsity, size_t m,
                 size_t aug = 0;
                 const uint8_t nb = n[br * block_cols + bc];
                 const SparsityDim dim = optimalBlockSolve(
-                    scores, us, br, bc, m, nb, s, imp, trans, aug);
-                if (m <= 64) {
-                    for (size_t r = 0; r < m; ++r) {
-                        uint64_t bits = 0;
-                        for (size_t c = 0; c < m; ++c)
-                            bits |= static_cast<uint64_t>(
-                                        s.keep[r * m + c] != 0)
-                                << c;
-                        out.mask.setRowBits(br * m + r, bc * m, m, bits);
-                    }
-                } else {
-                    for (size_t r = 0; r < m; ++r)
-                        for (size_t c = 0; c < m; ++c)
-                            out.mask.at(br * m + r, bc * m + c) =
-                                s.keep[r * m + c];
-                }
+                    job.scores, job.us, br, bc, m, nb, s, imp, trans, aug);
+                for (size_t r = 0; r < m; ++r)
+                    storeTile(out.mask, br * m + r, bc * m,
+                              std::span(s.keep).subspan(r * m, m));
                 out.meta.block(br, bc) = {nb, dim};
                 improved[br] += imp;
                 transposable[br] += trans;
@@ -1002,19 +992,25 @@ tbsMaskOptimal(const Matrix &scores, double sparsity, size_t m,
             }
         }
     });
-    out.usHamming = out.mask.hamming(us);
-    if (stats != nullptr) {
-        *stats = {};
-        stats->blocks = block_rows * block_cols;
-        for (size_t br = 0; br < block_rows; ++br) {
-            stats->improvedBlocks += improved[br];
-            stats->transposableBlocks += transposable[br];
-            stats->augmentations += augments[br];
-        }
+    out.stats = {};
+    out.stats.blocks = block_rows * block_cols;
+    for (size_t br = 0; br < block_rows; ++br) {
+        out.stats.improvedBlocks += improved[br];
+        out.stats.transposableBlocks += transposable[br];
+        out.stats.augmentations += augments[br];
     }
-    return out;
 }
 
+void
+tbsGenerate(const MaskJob &job, MaskOutput &out)
+{
+    if (job.optimal)
+        tbsMaskOptimal(job, out);
+    else
+        tbsMask(job, out);
+}
+
+/** Per-tile candidate keep counts of SlideSparse: {0, 1, ..., m-2}. */
 std::vector<uint8_t>
 slideSparseCandidates(size_t m)
 {
@@ -1028,14 +1024,20 @@ slideSparseCandidates(size_t m)
     return c;
 }
 
-Mask
-ssMask(const Matrix &scores, double sparsity, size_t m)
+/**
+ * SlideSparse (2N-2):2N mask (arxiv 2603.05232), with m = 2N. Every
+ * m-element row tile keeps at most m-2 elements; the per-tile keep
+ * count is chosen from the contiguous 0..m-2 ladder nearest the tile's
+ * unstructured density, with the usual global largest-remainder pass
+ * toward the target. Targets sparser than 2/m are unreachable (the cap
+ * bites) and the mask saturates at m-2 per tile.
+ */
+void
+ssMask(const MaskJob &job, MaskOutput &out)
 {
-    checkTileDivisibility(scores, m);
-    const Mask us = usMask(scores, sparsity);
-    const size_t target = targetNnz(scores.size(), sparsity);
+    const Matrix &scores = job.scores;
+    const size_t m = job.m;
     const size_t tiles_per_row = scores.cols() / m;
-    const std::vector<uint8_t> cand = slideSparseCandidates(m);
 
     // One fit unit per tile. fitCounts brackets a tile's unstructured
     // density on the contiguous 0..m-2 ladder, so tiles denser than
@@ -1045,61 +1047,53 @@ ssMask(const Matrix &scores, double sparsity, size_t m)
     for (size_t r = 0; r < scores.rows(); ++r) {
         for (size_t t = 0; t < tiles_per_row; ++t) {
             units[r * tiles_per_row + t] = {
-                static_cast<double>(us.rangeNnz(r, t * m, m)), 1};
+                static_cast<double>(job.us.rangeNnz(r, t * m, m)), 1};
         }
     }
-    const std::vector<uint8_t> n = fitCounts(units, cand, target);
-
-    Mask mask(scores.rows(), scores.cols());
-    std::vector<float> tile(m);
-    std::vector<uint8_t> keep(m);
-    std::vector<float> scratch;
-    for (size_t r = 0; r < scores.rows(); ++r) {
-        for (size_t t = 0; t < tiles_per_row; ++t) {
-            for (size_t i = 0; i < m; ++i)
-                tile[i] = scores.at(r, t * m + i);
-            selectTopN(tile, n[r * tiles_per_row + t], keep, scratch);
-            if (m <= 64)
-                packTile(mask, r, t * m, keep);
-            else
-                for (size_t i = 0; i < m; ++i)
-                    mask.at(r, t * m + i) = keep[i];
-        }
-    }
-    return mask;
+    const std::vector<uint8_t> n =
+        fitCounts(units, job.candidates, job.target);
+    out.mask = rowTileMask(scores, m, [&](size_t r, size_t t) {
+        return n[r * tiles_per_row + t];
+    });
 }
 
-Mask
-patternMask(Pattern p, const Matrix &scores, double sparsity, size_t m,
-            std::span<const uint8_t> candidates)
+double
+noMaskSpace(size_t, size_t, size_t)
 {
-    switch (p) {
-      case Pattern::Dense: {
-        Mask mask(scores.rows(), scores.cols());
-        for (size_t r = 0; r < mask.rows(); ++r)
-            for (size_t c = 0; c < mask.cols(); ++c)
-                mask.at(r, c) = 1;
-        return mask;
-      }
-      case Pattern::US:
-        return usMask(scores, sparsity);
-      case Pattern::TS: {
-        const auto n = static_cast<size_t>(
-            std::llround((1.0 - sparsity) * static_cast<double>(m)));
-        return tsMask(scores, std::min(n, m), m);
-      }
-      case Pattern::RSV:
-        return rsvMask(scores, sparsity, m, candidates);
-      case Pattern::RSH:
-        return rshMask(scores, sparsity, m, candidates);
-      case Pattern::TBS:
-        return tbsMask(scores, sparsity, m, candidates).mask;
-      case Pattern::SS:
-        // SlideSparse draws per-tile counts from its own contiguous
-        // ladder; the caller's candidate set does not apply.
-        return ssMask(scores, sparsity, m);
-    }
-    util::panic("unknown Pattern");
+    return 0.0;
+}
+
+double
+usMaskSpace(size_t x, size_t y, size_t)
+{
+    return log2MaskSpaceUs(x, y);
+}
+
+/**
+ * The pattern table, one row per Pattern in enum order. Every family
+ * needs its columns to tile by m; `blocks` and `evenM` add to that.
+ */
+constexpr PatternSpec kPatterns[] = {
+    {"Dense", false, false, Step1::None, nullptr, noMaskSpace, denseMask},
+    {"US", false, false, Step1::Mask, nullptr, usMaskSpace, usGenerate},
+    {"TS", false, false, Step1::Distance, nullptr, log2MaskSpaceTs, tsMask},
+    {"RS-V", false, false, Step1::Mask, nullptr, log2MaskSpaceRsv, rsvMask},
+    {"RS-H", false, false, Step1::Mask, nullptr, log2MaskSpaceRsh, rshMask},
+    {"TBS", true, false, Step1::Mask, nullptr, log2MaskSpaceTbs,
+     tbsGenerate},
+    {"SS", false, true, Step1::Mask, slideSparseCandidates,
+     log2MaskSpaceSs, ssMask},
+};
+static_assert(std::size(kPatterns) == kPatternCount);
+
+} // namespace
+
+const PatternSpec &
+patternSpec(Pattern p)
+{
+    const auto i = static_cast<size_t>(p);
+    ensure(i < kPatternCount, "unknown Pattern");
+    return kPatterns[i];
 }
 
 bool

@@ -1,87 +1,31 @@
 /**
  * @file
- * Mask generators for every sparsity-pattern family, including the
- * paper's Algorithm 1 (TBS sparsification).
+ * Alg. 1 step 1 (usMask), the statistics of a TBS search, and the
+ * structural validators of each pattern family.
  *
- * All generators take a saliency score matrix (see prune.hpp) and a
- * target sparsity degree, and return a keep-mask that satisfies the
- * pattern's structural constraints while matching the target as closely
- * as the candidate N set permits.
+ * The per-family generators, including the paper's Algorithm 1 (TBS
+ * sparsification), are internal to sparsify.cpp and sit behind the
+ * pattern table (pattern_table.hpp). Make masks with tryMakeMask()
+ * (mask_search.hpp).
  *
- * Matrix dimensions must be multiples of the block size M; hardware
- * (and our workload layer) pads shapes to the block grid, exactly as
- * real tensor-core kernels do.
- *
- * These free functions are the low-level generator surface and are
- * kept byte-stable (golden-hash pinned) as documented legacy wrappers.
- * New code should prefer the strategy-aware tryMakeMask entry point in
- * mask_search.hpp, which adds request validation, a pluggable search-
- * strategy registry, and structured errors on top of the same
- * generators.
+ * Matrix dimensions must tile by the block size M; hardware (and our
+ * workload layer) pads shapes to the block grid, exactly as real
+ * tensor-core kernels do.
  */
 
 #ifndef TBSTC_CORE_SPARSIFY_HPP
 #define TBSTC_CORE_SPARSIFY_HPP
-
-#include <span>
 
 #include "matrix.hpp"
 #include "pattern.hpp"
 
 namespace tbstc::core {
 
-/** TBS sparsification output: the mask plus per-block (N, dim) info. */
-struct TbsResult
-{
-    Mask mask;
-    TbsMeta meta;
-    /**
-     * Hamming distance between the TBS mask and the unstructured mask
-     * of Algorithm 1 step 1 — a free by-product of the per-block
-     * direction scoring. workload::maskSimilarity derives the paper's
-     * mask-similarity metric from it without re-running usMask.
-     */
-    size_t usHamming = 0;
-};
-
-/** Unstructured mask: keep the global top-k scores. */
+/**
+ * Unstructured mask: keep the global top-k scores (Alg. 1 step 1).
+ * Ties break toward the lower flat index.
+ */
 Mask usMask(const Matrix &scores, double sparsity);
-
-/**
- * Tile-wise N:M mask (NVIDIA STC style): every M-element row tile keeps
- * its top @p n scores. 4:8 reproduces STC's supported pattern.
- */
-Mask tsMask(const Matrix &scores, size_t n, size_t m);
-
-/**
- * Row-wise N:M with per-row N (VEGETA). Each row picks the candidate N
- * closest to its unstructured density; a global largest-remainder pass
- * nudges rows so the whole matrix hits the target sparsity.
- */
-Mask rsvMask(const Matrix &scores, double sparsity, size_t m,
-             std::span<const uint8_t> candidates);
-
-/**
- * Row-wise hierarchical N:M (HighLight). Each super-group of M row
- * tiles keeps T of its M tiles (tile-level N:M), and surviving tiles
- * keep N0 of M elements, with (T, N0) chosen per super-group to match
- * its unstructured density.
- */
-Mask rshMask(const Matrix &scores, double sparsity, size_t m,
-             std::span<const uint8_t> candidates);
-
-/**
- * Transposable block-wise N:M (paper Algorithm 1):
- *  1. unstructured prune to the target sparsity;
- *  2. per M x M block, choose N from @p candidates nearest the block's
- *     unstructured density (with a global balance pass so the matrix
- *     hits the target);
- *  3. per block, build the reduction-direction mask (top-N per row) and
- *     the independent-direction mask (top-N per column) and keep the one
- *     with the smaller L1 distance to the unstructured block mask.
- */
-TbsResult tbsMask(const Matrix &scores, double sparsity, size_t m,
-                  std::span<const uint8_t> candidates);
 
 /**
  * Statistics of one TBS mask search. The greedy mapper only fills
@@ -99,53 +43,6 @@ struct TbsSearchStats
     /** Augmenting paths that re-routed the doubly-constrained core. */
     size_t augmentations = 0;
 };
-
-/**
- * TSENOR-style optimal transposable search (second TBS strategy).
- *
- * Steps 1 and 2 are identical to tbsMask (same unstructured mask, same
- * per-block N balance pass). Step 3 replaces the greedy rank-table
- * mapper: per block it solves the top-N selection to L1 optimality
- * against the step-1 unstructured mask, exploiting the <=N slack of
- * the TBS constraint — the optimal block keeps only unstructured-kept
- * elements, min(us_g, N) per group of the declared direction, so its
- * distance is us_nnz - sum_g min(us_g, N), provably <= greedy's
- * N*m + us_nnz - 2*overlap[N] in every block and direction. Inside
- * that optimum, a Hungarian-style augmenting-path b-matching (row caps
- * *and* column caps of N simultaneously) decides which elements form
- * the transposable core, so the kept set stays as close to a both-
- * direction-legal mask as the block permits.
- *
- * Trade-off: the optimal mask never keeps a non-US element, so its nnz
- * can undershoot the target where a group has fewer than N survivors
- * (greedy pads such groups with noise). Scoring is scalar per block —
- * slower than greedy's SIMD rank kernel, which is the price the bench
- * quantifies.
- */
-TbsResult tbsMaskOptimal(const Matrix &scores, double sparsity, size_t m,
-                         std::span<const uint8_t> candidates,
-                         TbsSearchStats *stats = nullptr);
-
-/**
- * SlideSparse (2N-2):2N mask (arxiv 2603.05232), with m = 2N. Every
- * m-element row tile keeps at most m-2 elements; the per-tile keep
- * count is chosen from the contiguous 0..m-2 ladder nearest the tile's
- * unstructured density, with the usual global largest-remainder pass
- * toward the target. Requires an even m >= 4; targets sparser than
- * 2/m are unreachable (the cap bites) and the mask saturates at m-2
- * per tile.
- */
-Mask ssMask(const Matrix &scores, double sparsity, size_t m);
-
-/** Per-tile candidate keep counts of SlideSparse: {0, 1, ..., m-2}. */
-std::vector<uint8_t> slideSparseCandidates(size_t m);
-
-/**
- * Dispatch by pattern family. TS derives its fixed N from the target
- * density (e.g. 50% -> 4:8); Dense returns an all-keep mask.
- */
-Mask patternMask(Pattern p, const Matrix &scores, double sparsity,
-                 size_t m, std::span<const uint8_t> candidates);
 
 /**
  * Verify the structural invariant of a TBS mask against its metadata:

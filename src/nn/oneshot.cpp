@@ -1,7 +1,7 @@
 #include "oneshot.hpp"
 
 #include "core/linalg.hpp"
-#include "core/sparsify.hpp"
+#include "core/mask_search.hpp"
 #include "sparse_train.hpp"
 #include "util/logging.hpp"
 

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "core/prune.hpp"
-#include "core/sparsify.hpp"
+#include "core/mask_search.hpp"
 #include "obs/obs.hpp"
 #include "util/fmt.hpp"
 #include "util/logging.hpp"

@@ -1,14 +1,15 @@
 #include "exec.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <stdexcept>
 
 #include "core/mask_search.hpp"
 #include "core/prune.hpp"
-#include "core/sparsify.hpp"
 #include "format/serialize.hpp"
 #include "util/crc32.hpp"
+#include "util/fmt.hpp"
 #include "workload/synth.hpp"
 
 namespace tbstc::serve {
@@ -17,6 +18,16 @@ namespace {
 
 /** Row cap used by the formats/sparsify pipeline (matches the CLI). */
 constexpr uint64_t kSparsifyMaxRows = 4096;
+
+std::optional<std::string>
+tilingError(uint64_t rows, uint64_t cols, uint64_t m)
+{
+    if (rows % m == 0 && cols % m == 0)
+        return std::nullopt;
+    return util::formatStr(
+        "weight matrix {}x{} does not tile into {}x{} blocks", rows, cols,
+        m, m);
+}
 
 } // namespace
 
@@ -86,6 +97,18 @@ tryParseLayer(const std::string &spec, const std::string &name)
     if (x == 0 || y == 0 || nb == 0)
         return std::nullopt;
     return workload::GemmShape{name, x, y, nb};
+}
+
+std::optional<std::string>
+runLayerError(const workload::GemmShape &shape)
+{
+    return tilingError(shape.x, shape.y, accel::RunRequest{}.m);
+}
+
+std::optional<std::string>
+sparsifyLayerError(const workload::GemmShape &shape, uint64_t m)
+{
+    return tilingError(std::min(shape.x, kSparsifyMaxRows), shape.y, m);
 }
 
 sim::RunStats
@@ -160,9 +183,6 @@ executeSparsify(const SparsifySpec &spec)
     const auto w =
         workload::synthWeights(*shape, spec.seed, kSparsifyMaxRows);
     const auto scores = core::magnitudeScores(w);
-    // The strategy-aware search; greedy (the empty default) delegates
-    // to core::tbsMask verbatim, so strategy-less requests keep their
-    // historical DDC bytes and CRCs.
     core::MaskRequest req;
     req.pattern = core::Pattern::TBS;
     req.strategy = spec.strategy;

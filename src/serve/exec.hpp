@@ -42,9 +42,9 @@ struct RunSpec
     std::optional<double> bw;     ///< Off-chip bandwidth override.
 
     /**
-     * TBS mask-search strategy (registry name). Empty = default
-     * greedy, which keeps the wire bytes and responses of strategy-
-     * less requests unchanged.
+     * TBS mask-search strategy ("greedy" or "optimal"). Empty =
+     * default greedy, which keeps the wire bytes and responses of
+     * strategy-less requests unchanged.
      */
     std::string strategy;
 };
@@ -81,6 +81,21 @@ std::optional<workload::ModelId> tryParseModel(const std::string &name);
 /** "XxYxNB" -> shape (named @p name); nullopt when malformed. */
 std::optional<workload::GemmShape>
 tryParseLayer(const std::string &spec, const std::string &name);
+
+/**
+ * Why `run` cannot simulate @p shape: every accelerator cuts the
+ * weights into 8x8 blocks, so X and Y must be multiples of 8. nullopt
+ * when it can. Request parsing checks layers with it, so an untileable
+ * layer is a bad request, not an error deep in execution.
+ */
+std::optional<std::string> runLayerError(const workload::GemmShape &shape);
+
+/**
+ * Why `sparsify` cannot cut @p shape's (row-capped) weights into
+ * @p m x @p m blocks; nullopt when it can.
+ */
+std::optional<std::string>
+sparsifyLayerError(const workload::GemmShape &shape, uint64_t m);
 
 /**
  * Execute a run request: one layer, a model's weight GEMMs, or a full

@@ -85,9 +85,6 @@ struct JsonError
  */
 util::Result<JsonValue, JsonError> parseJson(std::string_view text);
 
-/** Quote and escape @p s as a JSON string literal. */
-std::string jsonQuote(std::string_view s);
-
 /**
  * Render a double the way the serve protocol expects: shortest form
  * that round-trips (%.17g trimmed), "0" for zero, integers without a

@@ -13,8 +13,11 @@
 #include <unistd.h>
 
 #include "core/mask_search.hpp"
+#include "obs/json.hpp"
 
 namespace tbstc::serve {
+
+using obs::jsonQuote;
 
 namespace {
 
@@ -103,9 +106,14 @@ parseRequest(std::string_view json)
             return fail("need 'model' or 'layer'");
         if (!r.model.empty() && !tryParseModel(r.model))
             return fail("unknown model '" + r.model + "'");
-        if (!r.layer.empty() && !tryParseLayer(r.layer, "cli.layer"))
-            return fail("layer spec must be XxYxNB, got '"
-                                    + r.layer + "'");
+        if (!r.layer.empty()) {
+            const auto shape = tryParseLayer(r.layer, "cli.layer");
+            if (!shape)
+                return fail("layer spec must be XxYxNB, got '"
+                                        + r.layer + "'");
+            if (const auto err = runLayerError(*shape))
+                return fail(*err);
+        }
         r.sparsity = v.get("sparsity").asNumber(r.sparsity);
         if (!(r.sparsity >= 0.0 && r.sparsity < 1.0))
             return fail("'sparsity' must be in [0, 1)");
@@ -122,10 +130,10 @@ parseRequest(std::string_view json)
             r.bw = bw;
         }
         if (v.has("strategy")) {
-            r.strategy = v.get("strategy").asString();
-            if (!core::isMaskStrategy(r.strategy))
-                return fail("unknown mask strategy '" + r.strategy
-                            + "'");
+            const std::string &strategy = v.get("strategy").asString();
+            if (!core::isMaskStrategy(strategy))
+                return fail("unknown mask strategy '" + strategy + "'");
+            r.strategy = core::canonicalMaskStrategy(strategy);
         }
         return req;
     }
@@ -133,7 +141,8 @@ parseRequest(std::string_view json)
         req.op = Op::Sparsify;
         SparsifySpec &s = req.sparsify;
         s.layer = v.get("layer").asString();
-        if (s.layer.empty() || !tryParseLayer(s.layer, "cli.formats"))
+        const auto shape = tryParseLayer(s.layer, "cli.formats");
+        if (!shape)
             return fail("layer spec must be XxYxNB, got '"
                                     + s.layer + "'");
         s.sparsity = v.get("sparsity").asNumber(s.sparsity);
@@ -145,11 +154,13 @@ parseRequest(std::string_view json)
             s.m = *m;
         if (s.m == 0 || s.m > 64)
             return fail("'m' must be in [1, 64]");
+        if (const auto err = sparsifyLayerError(*shape, s.m))
+            return fail(*err);
         if (v.has("strategy")) {
-            s.strategy = v.get("strategy").asString();
-            if (!core::isMaskStrategy(s.strategy))
-                return fail("unknown mask strategy '" + s.strategy
-                            + "'");
+            const std::string &strategy = v.get("strategy").asString();
+            if (!core::isMaskStrategy(strategy))
+                return fail("unknown mask strategy '" + strategy + "'");
+            s.strategy = core::canonicalMaskStrategy(strategy);
         }
         return req;
     }

@@ -13,7 +13,9 @@
  * `try*` surface — it never throws or aborts on bad input and carries
  * a structured error describing exactly what went wrong:
  *
- *   - core::tryMakeMask()          strategy-aware mask search
+ *   - core::tryMakeMask()          the one way to make a mask: every
+ *                                  family, one row each of the pattern
+ *                                  table; TBS strategy greedy|optimal
  *   - format::tryDeserializeDdc()  parse an untrusted DDC byte stream
  *   - format::tryDecodeBlock()     codec-convert an untrusted block
  *   - format::ddcLayout()          locate sections in a DDC stream
@@ -26,8 +28,10 @@
  * structurally. New code should prefer the try* surface.
  *
  * Infallible modelling entry points (accel::runLayer(),
- * sim::simulateLayer(), core::tbsMask(), ...) validate their
+ * sim::simulateLayer(), core::usMask(), ...) validate their
  * configuration with util::ensure() and are part of the primary API.
+ * core::patternMask() is tryMakeMask() for callers that treat a bad
+ * request as fatal.
  *
  * # Observability
  *
@@ -52,7 +56,7 @@
 // Observability: deterministic metrics + event tracing.
 #include "obs/obs.hpp"
 
-// Sparsity core: masks, patterns, pruning, strategy-aware search.
+// Sparsity core: masks, patterns, pruning, the mask entry point.
 #include "core/blockstats.hpp"
 #include "core/mask_search.hpp"
 #include "core/maskspace.hpp"

@@ -1,13 +1,14 @@
 #include "accuracy_model.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <map>
 #include <mutex>
 #include <tuple>
 
+#include "core/mask_search.hpp"
 #include "core/prune.hpp"
-#include "core/sparsify.hpp"
 #include "synth.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -22,19 +23,20 @@ namespace {
 struct Anchor
 {
     double sparsity; ///< Sparsity the table reports at.
-    double dense;
-    double us;
-    double ts;
-    double rsv;
-    double rsh;
-    double tbs;
     /**
-     * SlideSparse is absent from the paper's tables; its anchor sits
-     * between US and TBS, consistent with its mask-space ranking (the
-     * per-tile 0..2N-2 ladder is strictly richer than TBS blocks but
-     * still short of unstructured freedom).
+     * Accuracy per family, in Pattern order (Dense, US, TS, RS-V,
+     * RS-H, TBS, SS). SlideSparse is absent from the paper's tables;
+     * its anchor sits between US and TBS, consistent with its
+     * mask-space ranking (the per-tile 0..2N-2 ladder is strictly
+     * richer than TBS blocks but still short of unstructured freedom).
      */
-    double ss;
+    std::array<double, core::kPatternCount> accuracy;
+
+    double
+    operator[](Pattern p) const
+    {
+        return accuracy[static_cast<size_t>(p)];
+    }
 };
 
 Anchor
@@ -42,33 +44,17 @@ anchorFor(ModelId model)
 {
     switch (model) {
       case ModelId::ResNet50: // Cifar-10, Table I.
-        return {0.75, 95.04, 94.93, 94.32, 94.32, 94.79, 94.91, 94.92};
+        return {0.75, {95.04, 94.93, 94.32, 94.32, 94.79, 94.91, 94.92}};
       case ModelId::ResNet18: // ImageNet, Table I.
-        return {0.75, 89.08, 88.15, 86.37, 86.89, 86.61, 87.53, 87.90};
+        return {0.75, {89.08, 88.15, 86.37, 86.89, 86.61, 87.53, 87.90}};
       case ModelId::BertBase: // sst-2, Table I.
-        return {0.50, 92.32, 91.43, 90.25, 90.37, 90.48, 91.38, 91.40};
+        return {0.50, {92.32, 91.43, 90.25, 90.37, 90.48, 91.38, 91.40}};
       case ModelId::Opt67b:   // Table II, Wanda/SparseGPT average.
-        return {0.50, 64.39, 61.22, 57.93, 58.84, 58.84, 60.75, 61.00};
+        return {0.50, {64.39, 61.22, 57.93, 58.84, 58.84, 60.75, 61.00}};
       case ModelId::Llama27b: // Table II, Wanda/SparseGPT average.
-        return {0.50, 70.15, 66.90, 63.72, 64.03, 64.13, 66.06, 66.50};
+        return {0.50, {70.15, 66.90, 63.72, 64.03, 64.13, 66.06, 66.50}};
     }
     util::panic("unknown ModelId");
-}
-
-/** The table's reported accuracy for @p pattern at the anchor. */
-double
-anchorAccuracy(const Anchor &a, Pattern p)
-{
-    switch (p) {
-      case Pattern::Dense: return a.dense;
-      case Pattern::US:    return a.us;
-      case Pattern::TS:    return a.ts;
-      case Pattern::RSV:   return a.rsv;
-      case Pattern::RSH:   return a.rsh;
-      case Pattern::TBS:   return a.tbs;
-      case Pattern::SS:    return a.ss;
-    }
-    util::panic("unknown Pattern");
 }
 
 /** Odds-style sparsity severity: s / (1 - s). */
@@ -106,23 +92,18 @@ maskSimilarity(Pattern pattern, double sparsity, size_t m, uint64_t seed)
     const core::Matrix w =
         synthWeights({"similarity-probe", kDim, kDim, 1}, seed);
     const core::Matrix scores = core::magnitudeScores(w);
-    const auto cand = core::defaultCandidates(m);
-    double sim;
-    if (pattern == Pattern::TBS) {
-        // tbsMask already measures its distance to the step-1
-        // unstructured mask; agreement = (size - hamming) / size is
-        // the identical integer arithmetic, without a second usMask.
-        const core::TbsResult res =
-            core::tbsMask(scores, sparsity, m, cand);
-        const size_t total = res.mask.size();
-        sim = static_cast<double>(total - res.usHamming)
-            / static_cast<double>(total);
-    } else {
-        const core::Mask us = core::usMask(scores, sparsity);
-        const core::Mask pat =
-            core::patternMask(pattern, scores, sparsity, m, cand);
-        sim = pat.agreement(us);
-    }
+    core::MaskRequest req;
+    req.pattern = pattern;
+    req.sparsity = sparsity;
+    req.m = m;
+    const auto res = core::tryMakeMask(scores, req);
+    if (!res)
+        util::fatal("mask similarity probe: {}", res.error().message);
+    // agreement = (size - hamming) / size, the arithmetic of
+    // Mask::agreement, from the distance tryMakeMask already measured.
+    const size_t total = res->mask.size();
+    const double sim = static_cast<double>(total - res->usHamming)
+        / static_cast<double>(total);
     const std::lock_guard lk(cache_m);
     return cache.emplace(key, sim).first->second;
 }
@@ -130,7 +111,7 @@ maskSimilarity(Pattern pattern, double sparsity, size_t m, uint64_t seed)
 double
 denseAccuracy(ModelId model)
 {
-    return anchorFor(model).dense;
+    return anchorFor(model)[Pattern::Dense];
 }
 
 double
@@ -138,30 +119,30 @@ proxyAccuracy(ModelId model, Pattern pattern, double sparsity, size_t m)
 {
     const Anchor a = anchorFor(model);
     if (pattern == Pattern::Dense || sparsity <= 0.0)
-        return a.dense;
+        return a[Pattern::Dense];
 
     // Unstructured degradation: power law in the sparsity odds,
     // pinned to the table's US drop at the anchor sparsity.
     constexpr double kUsExponent = 1.5;
-    const double us_drop_anchor = a.dense - a.us;
+    const double us_drop_anchor = a[Pattern::Dense] - a[Pattern::US];
     const double sev_ratio = severity(sparsity) / severity(a.sparsity);
     const double us_drop =
         us_drop_anchor * std::pow(sev_ratio, kUsExponent);
     if (pattern == Pattern::US)
-        return std::max(0.0, a.dense - us_drop);
+        return std::max(0.0, a[Pattern::Dense] - us_drop);
 
     // Structured gap over US: pinned to this pattern's own table
     // accuracy at the anchor sparsity, and scaled away from the
     // anchor by the measured mask-dissimilarity ratio and the
     // sparsity severity (gap -> 0 as sparsity -> 0).
     const double gap_anchor =
-        std::max(0.0, a.us - anchorAccuracy(a, pattern));
+        std::max(0.0, a[Pattern::US] - a[pattern]);
     const double dis_anchor = std::max(
         1e-3, 1.0 - maskSimilarity(pattern, a.sparsity, m));
     const double dis = std::max(
         0.0, 1.0 - maskSimilarity(pattern, sparsity, m));
     const double gap = gap_anchor * (dis / dis_anchor) * sev_ratio;
-    return std::max(0.0, a.dense - us_drop - gap);
+    return std::max(0.0, a[Pattern::Dense] - us_drop - gap);
 }
 
 double

@@ -5,7 +5,6 @@
 #include <optional>
 
 #include "core/mask_search.hpp"
-#include "core/sparsify.hpp"
 #include "obs/obs.hpp"
 #include "synth.hpp"
 #include "util/contentstore.hpp"
@@ -17,7 +16,6 @@ namespace tbstc::workload {
 
 using core::Mask;
 using core::Matrix;
-using core::Pattern;
 using core::SparsityDim;
 using core::TbsMeta;
 using format::StorageFormat;
@@ -74,13 +72,15 @@ profileCacheKey(const ProfileSpec &spec)
     util::Hasher h;
     // v2: maskStrategy joined the spec (and the "" default hashes
     // differently from any named strategy, so v1 keys can never alias).
+    // It keys in its canonical spelling: "greedy" builds the default's
+    // mask, so it shares the default's key.
     h.str("tbstc.cache.profile.v2");
     h.str(spec.shape.name);
     h.u64(spec.shape.x).u64(spec.shape.y).u64(spec.shape.nb);
     h.u64(static_cast<uint64_t>(spec.pattern));
     h.f64(spec.sparsity);
     h.u64(spec.m);
-    h.str(spec.maskStrategy);
+    h.str(core::canonicalMaskStrategy(spec.maskStrategy));
     h.u64(static_cast<uint64_t>(spec.fmt));
     h.u64(spec.densifyIndependent ? 1 : 0);
     h.u64(spec.seed);
@@ -212,30 +212,18 @@ buildLayerProfileUncached(const ProfileSpec &spec)
                 data[i] = std::fabs(data[i]);
         });
     }
-    const std::vector<uint8_t> cand = core::defaultCandidates(m);
-
-    Mask mask;
-    TbsMeta meta;
-    if (spec.pattern == Pattern::TBS) {
-        core::MaskRequest req;
-        req.pattern = Pattern::TBS;
-        req.strategy = spec.maskStrategy;
-        req.sparsity = spec.sparsity;
-        req.m = m;
-        req.candidates = cand;
-        auto res = core::tryMakeMask(scores, req);
-        if (!res)
-            util::fatal("mask search failed: {}", res.error().message);
-        mask = std::move(res->mask);
-        meta = std::move(res->meta);
-    } else {
-        if (!core::isMaskStrategy(spec.maskStrategy))
-            util::fatal("unknown mask strategy \"{}\"",
-                        spec.maskStrategy);
-        mask = core::patternMask(spec.pattern, scores, spec.sparsity, m,
-                                 cand);
+    core::MaskRequest req;
+    req.pattern = spec.pattern;
+    req.strategy = spec.maskStrategy;
+    req.sparsity = spec.sparsity;
+    req.m = m;
+    auto res = core::tryMakeMask(scores, req);
+    if (!res)
+        util::fatal("mask search failed: {}", res.error().message);
+    Mask mask = std::move(res->mask);
+    TbsMeta meta = std::move(res->meta);
+    if (meta.blocks.empty())
         meta = deriveMeta(mask, m);
-    }
     scores = Matrix(); // Nothing below reads |w|; free it early.
 
     LayerProfile profile;

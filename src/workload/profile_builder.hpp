@@ -32,10 +32,11 @@ struct ProfileSpec
     size_t m = 8;
 
     /**
-     * TBS mask-search strategy (core/mask_search.hpp registry name);
-     * empty = the default ("greedy"). A determining input of the
-     * profile: it feeds the cache key, so a cached greedy profile can
-     * never answer an optimal-strategy request.
+     * TBS mask-search strategy (core/mask_search.hpp): "greedy" or
+     * "optimal"; empty = the default ("greedy"). A determining input
+     * of the profile: it feeds the cache key (in its canonical
+     * spelling), so a cached greedy profile can never answer an
+     * optimal-strategy request.
      */
     std::string maskStrategy;
 

@@ -8,12 +8,15 @@
 #include <cmath>
 
 #include "core/blockstats.hpp"
+#include "core/mask_search.hpp"
 #include "core/prune.hpp"
-#include "core/sparsify.hpp"
 #include "util/rng.hpp"
 #include "workload/synth.hpp"
+#include "mask_helpers.hpp"
 
 namespace {
+
+using tbstc::test::makeMask;
 
 using namespace tbstc::core;
 using tbstc::util::Rng;
@@ -36,7 +39,7 @@ TEST(BlockStats, DistributionSumsToOne)
     const Matrix w =
         tbstc::workload::synthWeights({"bs-probe", 128, 128, 1}, 1);
     const Matrix s = magnitudeScores(w);
-    const TbsResult res = tbsMask(s, 0.6, 8, defaultCandidates(8));
+    const MaskOutput res = makeMask(s, Pattern::TBS, 0.6);
     const DirectionDistribution d = directionDistribution(res.meta);
     EXPECT_NEAR(d.rowFrac + d.colFrac + d.otherFrac, 1.0, 1e-9);
     EXPECT_EQ(d.blocks, 16u * 16u);

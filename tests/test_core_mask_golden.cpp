@@ -7,9 +7,9 @@
  * must produce byte-for-byte the masks the original byte-per-element
  * implementation produced. The hashes below were captured from the
  * pre-packing build (FNV-1a over the row-major byte image, and over
- * the TbsMeta block table) and pin that contract — any drift in
- * usMask/tsMask/rsvMask/rshMask/tbsMask or in the per-block direction
- * choice fails here first.
+ * the TbsMeta block table) and pin that contract — any drift in a
+ * family's generator behind tryMakeMask, in the per-block direction
+ * choice or in the usHamming distance fails here first.
  *
  * The second half cross-checks every packed kernel (popcount nnz,
  * word-wise combinators, agreement/overlap/hamming, blockNnz,
@@ -24,12 +24,15 @@
 #include <vector>
 
 #include "core/blockstats.hpp"
+#include "core/mask_search.hpp"
 #include "core/prune.hpp"
-#include "core/sparsify.hpp"
 #include "util/rng.hpp"
 #include "workload/synth.hpp"
+#include "mask_helpers.hpp"
 
 namespace {
+
+using tbstc::test::makeMask;
 
 using namespace tbstc;
 using core::Mask;
@@ -74,25 +77,39 @@ struct Golden
     double sparsity;
     uint64_t seed;
     uint64_t us, ts, rsv, rsh, tbs, tbsMeta;
+    uint64_t ss, tbsOpt, tbsOptMeta;
+    /**
+     * tryMakeMask().usHamming per family, in Pattern order (Dense, US,
+     * TS, RS-V, RS-H, TBS, SS), then TBS `optimal`.
+     */
+    size_t usHamming[8];
 };
 
 // Captured from the byte-per-element implementation (see file
 // comment); treat as a wire contract, do not regenerate casually.
+// ss, tbsOpt, tbsOptMeta and usHamming were captured from the build
+// before the per-family generators moved behind one PatternSpec table.
 constexpr Golden kGolden[] = {
     {64, 64, 0.75, 7,
      0xee70fc3eff05feadull, 0xb98cc29640f01331ull, 0x7f1e49a8e7b34a7full,
-     0xf9739bef9138e965ull, 0x91567d811db2da77ull, 0x466a376fd7c81d23ull},
+     0xf9739bef9138e965ull, 0x91567d811db2da77ull, 0x466a376fd7c81d23ull,
+     0x34cbd816cde995b1ull, 0x96214cf255907c7cull, 0x466a376fd7c81d23ull,
+     {3072, 0, 1188, 418, 502, 402, 46, 201}},
     {128, 64, 0.5, 11,
      0xf65095781effea11ull, 0x33509c9d6c9a7d33ull, 0xe85eab8473b3a025ull,
-     0xb864a185c66c8bc9ull, 0x3460b3a21264f6cfull, 0xb50fadd054ae1dd7ull},
+     0xb864a185c66c8bc9ull, 0x3460b3a21264f6cfull, 0xb50fadd054ae1dd7ull,
+     0x82d9f8e78cbd1a0dull, 0x923ba5b86e1c3051ull, 0xb50fadd054ae1dd7ull,
+     {4096, 0, 2092, 1440, 1776, 1212, 256, 606}},
     {96, 192, 0.625, 3,
      0x53d83fe9c5770917ull, 0xd977e2eea54907ebull, 0x0803e89e6205045full,
-     0x33ff78ca594c9825ull, 0x22bc9210714dd933ull, 0x94a2cd3a8e986ea5ull},
+     0x33ff78ca594c9825ull, 0x22bc9210714dd933ull, 0x94a2cd3a8e986ea5ull,
+     0xfdc03ca749ccd609ull, 0x32d985d03c4c6af3ull, 0x94a2cd3a8e986ea5ull,
+     {11520, 0, 4866, 2604, 3390, 2332, 306, 1166}},
 };
 
 TEST(MaskGolden, EveryFamilyMatchesPrePackingBuild)
 {
-    const auto cand = core::defaultCandidates(8);
+    using core::Pattern;
     for (const Golden &g : kGolden) {
         SCOPED_TRACE(testing::Message()
                      << g.rows << "x" << g.cols << " sp=" << g.sparsity);
@@ -100,19 +117,37 @@ TEST(MaskGolden, EveryFamilyMatchesPrePackingBuild)
             {"golden-mask", g.rows, g.cols, 1}, g.seed);
         const Matrix scores = core::magnitudeScores(w);
 
-        EXPECT_EQ(maskHash(core::usMask(scores, g.sparsity)), g.us);
-        EXPECT_EQ(maskHash(core::tsMask(scores, 4, 8)), g.ts);
-        EXPECT_EQ(maskHash(core::rsvMask(scores, g.sparsity, 8, cand)),
-                  g.rsv);
-        EXPECT_EQ(maskHash(core::rshMask(scores, g.sparsity, 8, cand)),
-                  g.rsh);
-        const core::TbsResult tbs =
-            core::tbsMask(scores, g.sparsity, 8, cand);
+        const auto dense = makeMask(scores, Pattern::Dense, g.sparsity);
+        const auto us = makeMask(scores, Pattern::US, g.sparsity);
+        // TS derives N from the sparsity: 0.5 pins the 4:8 mask.
+        const auto ts = makeMask(scores, Pattern::TS, 0.5);
+        const auto rsv = makeMask(scores, Pattern::RSV, g.sparsity);
+        const auto rsh = makeMask(scores, Pattern::RSH, g.sparsity);
+        const auto tbs = makeMask(scores, Pattern::TBS, g.sparsity);
+        const auto ss = makeMask(scores, Pattern::SS, g.sparsity);
+        const auto opt = makeMask(scores, Pattern::TBS, g.sparsity, 8,
+                                  core::kOptimalStrategy);
+
+        EXPECT_EQ(dense.mask.nnz(), dense.mask.size());
+        EXPECT_EQ(maskHash(us.mask), g.us);
+        EXPECT_EQ(maskHash(ts.mask), g.ts);
+        EXPECT_EQ(maskHash(rsv.mask), g.rsv);
+        EXPECT_EQ(maskHash(rsh.mask), g.rsh);
         EXPECT_EQ(maskHash(tbs.mask), g.tbs);
         EXPECT_EQ(metaHash(tbs.meta), g.tbsMeta);
-        // usHamming memoizes hamming(usMask) for maskSimilarity.
-        EXPECT_EQ(tbs.usHamming,
-                  tbs.mask.hamming(core::usMask(scores, g.sparsity)));
+        EXPECT_EQ(maskHash(ss.mask), g.ss);
+        EXPECT_EQ(maskHash(opt.mask), g.tbsOpt);
+        EXPECT_EQ(metaHash(opt.meta), g.tbsOptMeta);
+
+        const core::MaskOutput *outs[] = {&dense, &us,  &ts, &rsv,
+                                          &rsh,   &tbs, &ss, &opt};
+        for (size_t i = 0; i < 8; ++i) {
+            EXPECT_EQ(outs[i]->usHamming, g.usHamming[i])
+                << "family " << i;
+        }
+        // usHamming is the distance to the same-sparsity step-1 mask.
+        EXPECT_EQ(tbs.usHamming, tbs.mask.hamming(us.mask));
+        EXPECT_EQ(rsv.usHamming, rsv.mask.hamming(us.mask));
     }
 }
 

@@ -12,13 +12,17 @@
 #include <span>
 #include <vector>
 
+#include "core/mask_search.hpp"
 #include "core/prune.hpp"
 #include "core/sparsify.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "mask_helpers.hpp"
 
 namespace {
+
+using tbstc::test::makeMask;
 
 using namespace tbstc::core;
 using tbstc::util::FatalError;
@@ -193,7 +197,7 @@ TEST(UsMask, RadixSelectMatchesNthElementRuleOnRandomTies)
 TEST(TsMask, RespectsTileConstraint)
 {
     const Matrix s = randomScores(16, 32, 3);
-    const Mask m = tsMask(s, 4, 8);
+    const Mask m = makeMask(s, Pattern::TS, 0.5).mask;
     EXPECT_TRUE(validateTs(m, 4, 8));
     EXPECT_EQ(m.nnz(), 16u * 32u / 2u); // Exactly 4 per tile of 8.
 }
@@ -201,7 +205,8 @@ TEST(TsMask, RespectsTileConstraint)
 TEST(TsMask, KeepsTileTopScores)
 {
     Matrix s(1, 8, {0.9f, 0.1f, 0.8f, 0.2f, 0.7f, 0.3f, 0.6f, 0.4f});
-    const Mask m = tsMask(s, 2, 8);
+    // TS derives N from the sparsity: 0.75 -> 2:8.
+    const Mask m = makeMask(s, Pattern::TS, 0.75).mask;
     EXPECT_EQ(m.at(0, 0), 1);
     EXPECT_EQ(m.at(0, 2), 1);
     EXPECT_EQ(m.nnz(), 2u);
@@ -210,14 +215,17 @@ TEST(TsMask, KeepsTileTopScores)
 TEST(TsMask, RejectsNonDivisible)
 {
     const Matrix s = randomScores(8, 12, 4);
-    EXPECT_THROW(tsMask(s, 4, 8), FatalError);
+    MaskRequest req;
+    req.pattern = Pattern::TS;
+    EXPECT_EQ(tryMakeMask(s, req).error().kind, MaskErrorKind::NotDivisible);
+    EXPECT_THROW(patternMask(Pattern::TS, s, 0.5, 8, {}), FatalError);
 }
 
 TEST(RsvMask, PerRowUniformNAndNearTarget)
 {
     const Matrix s = randomScores(64, 64, 5);
     const auto cand = defaultCandidates(8);
-    const Mask m = rsvMask(s, 0.5, 8, cand);
+    const Mask m = makeMask(s, Pattern::RSV, 0.5).mask;
 
     // Every row must use one N from the candidate set across all its
     // tiles (VEGETA's constraint).
@@ -240,8 +248,7 @@ TEST(RsvMask, PerRowUniformNAndNearTarget)
 TEST(RshMask, NearTargetAndRowStructured)
 {
     const Matrix s = randomScores(64, 128, 6);
-    const auto cand = defaultCandidates(8);
-    const Mask m = rshMask(s, 0.6, 8, cand);
+    const Mask m = makeMask(s, Pattern::RSH, 0.6).mask;
     EXPECT_NEAR(m.sparsity(), 0.6, 0.04);
     // Tiles are either empty, half-dense, or dense.
     for (size_t r = 0; r < 64; ++r) {
@@ -258,8 +265,7 @@ TEST(RshMask, NearTargetAndRowStructured)
 TEST(TbsMask, SatisfiesStructuralInvariant)
 {
     const Matrix s = randomScores(64, 64, 7);
-    const auto cand = defaultCandidates(8);
-    const TbsResult res = tbsMask(s, 0.5, 8, cand);
+    const MaskOutput res = makeMask(s, Pattern::TBS, 0.5);
     EXPECT_TRUE(validateTbs(res.mask, res.meta));
     EXPECT_EQ(res.meta.blockRows, 8u);
     EXPECT_EQ(res.meta.blockCols, 8u);
@@ -268,9 +274,8 @@ TEST(TbsMask, SatisfiesStructuralInvariant)
 TEST(TbsMask, HitsTargetSparsity)
 {
     const Matrix s = randomScores(128, 128, 8);
-    const auto cand = defaultCandidates(8);
     for (double sp : {0.3, 0.5, 0.75}) {
-        const TbsResult res = tbsMask(s, sp, 8, cand);
+        const MaskOutput res = makeMask(s, Pattern::TBS, sp);
         EXPECT_NEAR(res.mask.sparsity(), sp, 0.02) << sp;
     }
 }
@@ -278,8 +283,7 @@ TEST(TbsMask, HitsTargetSparsity)
 TEST(TbsMask, EachGroupKeepsExactlyN)
 {
     const Matrix s = randomScores(32, 32, 9);
-    const auto cand = defaultCandidates(8);
-    const TbsResult res = tbsMask(s, 0.5, 8, cand);
+    const MaskOutput res = makeMask(s, Pattern::TBS, 0.5);
     for (size_t br = 0; br < res.meta.blockRows; ++br) {
         for (size_t bc = 0; bc < res.meta.blockCols; ++bc) {
             const BlockInfo &info = res.meta.block(br, bc);
@@ -303,8 +307,7 @@ TEST(TbsMask, UsesBothDirections)
     // On heavy-tailed scores at 50% sparsity, TBS should exercise both
     // the reduction and the independent direction.
     const Matrix s = randomScores(128, 128, 10);
-    const auto cand = defaultCandidates(8);
-    const TbsResult res = tbsMask(s, 0.5, 8, cand);
+    const MaskOutput res = makeMask(s, Pattern::TBS, 0.5);
     size_t row_dir = 0;
     size_t col_dir = 0;
     for (const auto &b : res.meta.blocks) {
@@ -321,10 +324,9 @@ TEST(TbsMask, CloserToUsThanTs)
 {
     // The motivating claim: TBS's mask overlaps US far more than TS's.
     const Matrix s = randomScores(128, 128, 11);
-    const auto cand = defaultCandidates(8);
     const Mask us = usMask(s, 0.5);
-    const Mask ts = tsMask(s, 4, 8);
-    const TbsResult tbs = tbsMask(s, 0.5, 8, cand);
+    const Mask ts = makeMask(s, Pattern::TS, 0.5).mask;
+    const MaskOutput tbs = makeMask(s, Pattern::TBS, 0.5);
     EXPECT_GT(tbs.mask.overlap(us), ts.overlap(us));
 }
 
@@ -333,9 +335,8 @@ TEST(TbsMask, DirectionChoiceMinimizesL1)
     // Forcing all blocks to the reduction direction must not beat the
     // chosen masks in L1 distance to the unstructured mask.
     const Matrix s = randomScores(64, 64, 12);
-    const auto cand = defaultCandidates(8);
     const Mask us = usMask(s, 0.5);
-    const TbsResult res = tbsMask(s, 0.5, 8, cand);
+    const MaskOutput res = makeMask(s, Pattern::TBS, 0.5);
 
     // Distance of chosen TBS mask.
     const size_t chosen_dist = us.hamming(res.mask);

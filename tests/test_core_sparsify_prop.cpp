@@ -10,12 +10,16 @@
 #include <cmath>
 #include <tuple>
 
+#include "core/mask_search.hpp"
 #include "core/prune.hpp"
 #include "core/sparsify.hpp"
 #include "util/rng.hpp"
 #include "workload/synth.hpp"
+#include "mask_helpers.hpp"
 
 namespace {
+
+using tbstc::test::makeMask;
 
 using namespace tbstc::core;
 using tbstc::util::Rng;
@@ -51,7 +55,7 @@ TEST_P(SparsitySweep, StructureAndTargetHold)
     EXPECT_NEAR(mask.sparsity(), sparsity, 0.06);
 
     if (pattern == Pattern::TBS) {
-        const TbsResult res = tbsMask(s, sparsity, m, cand);
+        const MaskOutput res = makeMask(s, Pattern::TBS, sparsity, m);
         EXPECT_TRUE(validateTbs(res.mask, res.meta));
     }
     if (pattern == Pattern::US) {
@@ -92,8 +96,7 @@ TEST_P(BlockSizeSweep, TbsValidAtAllBlockSizes)
 {
     const size_t m = GetParam();
     const Matrix s = randomScores(2 * m * 4, m * 8, 300 + m);
-    const auto cand = defaultCandidates(m);
-    const TbsResult res = tbsMask(s, 0.5, m, cand);
+    const MaskOutput res = makeMask(s, Pattern::TBS, 0.5, m);
     EXPECT_TRUE(validateTbs(res.mask, res.meta));
     EXPECT_NEAR(res.mask.sparsity(), 0.5, 0.05);
 }
@@ -110,10 +113,8 @@ TEST_P(BlockSizeSweep, SimilarityToUsGrowsWithSmallerBlocks)
         tbstc::workload::synthWeights({"bss-probe", 64, 64, 1}, 77);
     const Matrix s = magnitudeScores(w);
     const Mask us = usMask(s, 0.5);
-    const auto tbs_m =
-        tbsMask(s, 0.5, m, defaultCandidates(m)).mask.overlap(us);
-    const auto tbs_32 =
-        tbsMask(s, 0.5, 32, defaultCandidates(32)).mask.overlap(us);
+    const auto tbs_m = makeMask(s, Pattern::TBS, 0.5, m).mask.overlap(us);
+    const auto tbs_32 = makeMask(s, Pattern::TBS, 0.5, 32).mask.overlap(us);
     EXPECT_GE(tbs_m + 0.02, tbs_32);
 }
 
@@ -149,7 +150,7 @@ TEST_P(CriterionSweep, TbsValidUnderAllCriteria)
         v = static_cast<float>(std::max(0.0, rng.gaussian()));
 
     const Matrix scores = criterionScores(GetParam(), w, acts);
-    const TbsResult res = tbsMask(scores, 0.5, 8, defaultCandidates(8));
+    const MaskOutput res = makeMask(scores, Pattern::TBS, 0.5);
     EXPECT_TRUE(validateTbs(res.mask, res.meta));
     EXPECT_NEAR(res.mask.sparsity(), 0.5, 0.05);
 }

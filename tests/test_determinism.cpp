@@ -10,17 +10,20 @@
 #include <gtest/gtest.h>
 
 #include "accel/accelerator.hpp"
+#include "core/mask_search.hpp"
 #include "core/maskspace.hpp"
 #include "core/prune.hpp"
 #include "sim/pipeline.hpp"
-#include "core/sparsify.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "workload/accuracy_model.hpp"
 #include "workload/profile_builder.hpp"
 #include "workload/synth.hpp"
+#include "mask_helpers.hpp"
 
 namespace {
+
+using tbstc::test::makeMask;
 
 using namespace tbstc;
 
@@ -61,8 +64,8 @@ TEST(Golden, SynthWeightsHash)
 TEST(Golden, TbsMaskHash)
 {
     const auto w = workload::synthWeights({"golden", 64, 64, 1}, 7);
-    const auto res = core::tbsMask(core::magnitudeScores(w), 0.75, 8,
-                                   core::defaultCandidates(8));
+    const auto res =
+        makeMask(core::magnitudeScores(w), core::Pattern::TBS, 0.75);
     const auto bytes = res.mask.toBytes();
     EXPECT_EQ(hashBytes(std::span<const uint8_t>(bytes)),
               0x9bd674c42093ae19ull);
@@ -125,8 +128,7 @@ TEST(Golden, TbsMaskBitIdenticalAcrossThreadCounts)
     const auto scores = core::magnitudeScores(w);
     for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
         util::ThreadScope scope(threads);
-        const auto res =
-            core::tbsMask(scores, 0.75, 8, core::defaultCandidates(8));
+        const auto res = makeMask(scores, core::Pattern::TBS, 0.75);
         const auto bytes = res.mask.toBytes();
         EXPECT_EQ(hashBytes(std::span<const uint8_t>(bytes)),
                   0x9bd674c42093ae19ull)

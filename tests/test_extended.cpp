@@ -11,6 +11,7 @@
 #include <cmath>
 
 #include "accel/accelerator.hpp"
+#include "core/mask_search.hpp"
 #include "core/prune.hpp"
 #include "core/sparsify.hpp"
 #include "format/codec.hpp"
@@ -23,8 +24,11 @@
 #include "workload/accuracy_model.hpp"
 #include "workload/profile_builder.hpp"
 #include "workload/synth.hpp"
+#include "mask_helpers.hpp"
 
 namespace {
+
+using tbstc::test::makeMask;
 
 using namespace tbstc;
 
@@ -158,8 +162,7 @@ TEST(DeriveMeta, DdcRoundTripOnRsvMask)
 {
     const auto w = workload::synthWeights({"dm", 64, 64, 1}, 3);
     const auto scores = core::magnitudeScores(w);
-    const auto mask = core::rsvMask(scores, 0.6, 8,
-                                    core::defaultCandidates(8));
+    const auto mask = makeMask(scores, core::Pattern::RSV, 0.6).mask;
     const auto meta = workload::deriveMeta(mask, 8);
     const auto enc = format::encodeDdc(w, mask, meta);
     EXPECT_EQ(enc->decode(), core::applyMask(w, mask));
@@ -275,17 +278,16 @@ TEST(Degenerate, FullAndEmptySparsity)
 {
     const auto w = workload::synthWeights({"deg", 32, 32, 1}, 5);
     const auto scores = core::magnitudeScores(w);
-    const auto cand = core::defaultCandidates(8);
 
-    const auto empty = core::tbsMask(scores, 1.0, 8, cand);
+    const auto empty = makeMask(scores, core::Pattern::TBS, 1.0);
     EXPECT_EQ(empty.mask.nnz(), 0u);
     EXPECT_TRUE(core::validateTbs(empty.mask, empty.meta));
 
-    const auto full = core::tbsMask(scores, 0.0, 8, cand);
+    const auto full = makeMask(scores, core::Pattern::TBS, 0.0);
     EXPECT_EQ(full.mask.nnz(), 32u * 32u);
     EXPECT_TRUE(core::validateTbs(full.mask, full.meta));
 
-    EXPECT_EQ(core::tsMask(scores, 0, 8).nnz(), 0u);
+    EXPECT_EQ(makeMask(scores, core::Pattern::TS, 1.0).mask.nnz(), 0u);
     EXPECT_THROW(core::usMask(scores, 1.5), util::FatalError);
 }
 

@@ -10,13 +10,17 @@
 #include <string>
 #include <utility>
 
+#include "core/mask_search.hpp"
 #include "core/prune.hpp"
 #include "core/sparsify.hpp"
 #include "format/encoding.hpp"
 #include "util/rng.hpp"
 #include "workload/synth.hpp"
+#include "mask_helpers.hpp"
 
 namespace {
+
+using tbstc::test::makeMask;
 
 using namespace tbstc::core;
 using namespace tbstc::format;
@@ -27,7 +31,7 @@ struct Fixture
     Matrix w;
     Matrix scores;
     Mask us;
-    TbsResult tbs;
+    MaskOutput tbs;
 
     explicit Fixture(uint64_t seed, size_t rows = 64, size_t cols = 64,
                      double sparsity = 0.5)
@@ -36,7 +40,7 @@ struct Fixture
             {"fmt-probe", rows, cols, 1}, seed);
         scores = magnitudeScores(w);
         us = usMask(scores, sparsity);
-        tbs = tbsMask(scores, sparsity, 8, defaultCandidates(8));
+        tbs = makeMask(scores, Pattern::TBS, sparsity);
     }
 };
 
@@ -81,7 +85,7 @@ TEST(SdcEncoding, NoPaddingOnUniformTs)
     // A fixed 4:8 tile mask gives every row identical occupancy: SDC
     // becomes padding-free (why STC ships it).
     Fixture f(5);
-    const Mask ts = tsMask(f.scores, 4, 8);
+    const Mask ts = makeMask(f.scores, Pattern::TS, 0.5).mask;
     const auto p = encodeSdc(f.w, ts)->streamProfile(8);
     EXPECT_NEAR(p.redundancy(), 0.0, 1e-9);
 }
@@ -145,7 +149,7 @@ TEST(DdcEncoding, InfoTableAccounted)
     for (size_t i = 0; i < w.size(); ++i)
         w.data()[i] = static_cast<float>(i + 1);
     const Matrix scores = magnitudeScores(w);
-    const TbsResult res = tbsMask(scores, 0.0, 8, defaultCandidates(8));
+    const MaskOutput res = makeMask(scores, Pattern::TBS, 0.0);
     const auto enc = encodeDdc(w, res.mask, res.meta);
     const uint64_t blocks = 4;
     const uint64_t values = 16 * 16 * 2;
@@ -310,7 +314,7 @@ TEST(StreamProfileClosedForm, TbsMasksWithDensifiedBlocks)
         const Matrix w = tbstc::workload::synthWeights(
             {"closed-form", rows, cols, 1}, m);
         const Matrix scores = magnitudeScores(w);
-        TbsResult tbs = tbsMask(scores, 0.625, m, defaultCandidates(m));
+        MaskOutput tbs = makeMask(scores, Pattern::TBS, 0.625, m);
         for (StorageFormat fmt : kAllFormats)
             expectClosedFormMatches(fmt, w, tbs.mask, tbs.meta, m);
         size_t densified = 0;

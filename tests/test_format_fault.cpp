@@ -20,16 +20,19 @@
 #include <string>
 #include <vector>
 
+#include "core/mask_search.hpp"
 #include "core/prune.hpp"
-#include "core/sparsify.hpp"
 #include "format/serialize.hpp"
 #include "util/contentstore.hpp"
 #include "util/faultinject.hpp"
 #include "util/logging.hpp"
 #include "workload/profile_builder.hpp"
 #include "workload/synth.hpp"
+#include "mask_helpers.hpp"
 
 namespace {
+
+using tbstc::test::makeMask;
 
 using namespace tbstc;
 using core::Matrix;
@@ -54,7 +57,7 @@ constexpr Layer kLayers[] = {
 struct Stream
 {
     Matrix w;
-    core::TbsResult tbs;
+    core::MaskOutput tbs;
     std::vector<uint8_t> bytes;
     format::DdcParsed parsed;
     format::DdcLayout layout;
@@ -62,8 +65,8 @@ struct Stream
     explicit Stream(const Layer &l, uint64_t seed = 11)
     {
         w = workload::synthWeights({l.name, l.rows, l.cols, 1}, seed);
-        tbs = core::tbsMask(core::magnitudeScores(w), l.sparsity, 8,
-                            core::defaultCandidates(8));
+        tbs =
+            makeMask(core::magnitudeScores(w), core::Pattern::TBS, l.sparsity);
         bytes = format::serializeDdc(w, tbs.mask, tbs.meta);
         parsed = format::deserializeDdc(bytes);
         auto lay = format::ddcLayout(bytes);

@@ -8,15 +8,18 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/mask_search.hpp"
 #include "core/prune.hpp"
-#include "core/sparsify.hpp"
 #include "format/encoding.hpp"
 #include "format/serialize.hpp"
 #include "util/fp16.hpp"
 #include "util/logging.hpp"
 #include "workload/synth.hpp"
+#include "mask_helpers.hpp"
 
 namespace {
+
+using tbstc::test::makeMask;
 
 using namespace tbstc;
 using core::Matrix;
@@ -24,14 +27,13 @@ using core::Matrix;
 struct Fixture
 {
     Matrix w;
-    core::TbsResult tbs;
+    core::MaskOutput tbs;
 
     explicit Fixture(uint64_t seed, size_t rows = 64, size_t cols = 64,
                      double sparsity = 0.5)
     {
         w = workload::synthWeights({"ser-probe", rows, cols, 1}, seed);
-        tbs = core::tbsMask(core::magnitudeScores(w), sparsity, 8,
-                            core::defaultCandidates(8));
+        tbs = makeMask(core::magnitudeScores(w), core::Pattern::TBS, sparsity);
     }
 };
 
@@ -106,9 +108,8 @@ TEST(SerializeDdc, InfoTableBitLayout)
     Matrix w(16, 8);
     for (size_t i = 0; i < w.size(); ++i)
         w.data()[i] = static_cast<float>(i + 1);
-    const auto res =
-        core::tbsMask(core::magnitudeScores(w), 0.0, 8,
-                      core::defaultCandidates(8)); // Fully dense: 8:8.
+    const auto res = makeMask(core::magnitudeScores(w), core::Pattern::TBS,
+                              0.0); // Fully dense: 8:8.
     const auto bytes = format::serializeDdc(w, res.mask, res.meta);
 
     // Locate the info table via the v2 section map (header and group
@@ -187,8 +188,8 @@ TEST(SerializeDdc, NegativeZeroSurvives)
     for (size_t i = 0; i < w.size(); ++i)
         w.data()[i] = 1.0f;
     w.at(0, 0) = -0.0f;
-    const auto res = core::tbsMask(core::magnitudeScores(w), 0.0, 8,
-                                   core::defaultCandidates(8));
+    const auto res =
+        makeMask(core::magnitudeScores(w), core::Pattern::TBS, 0.0);
     const auto parsed = format::deserializeDdc(
         format::serializeDdc(w, res.mask, res.meta));
     EXPECT_EQ(parsed.mask.at(0, 0), 1);

@@ -17,14 +17,17 @@
 #include <random>
 #include <vector>
 
+#include "core/mask_search.hpp"
 #include "core/prune.hpp"
-#include "core/sparsify.hpp"
 #include "format/serialize.hpp"
 #include "kernels/kernels.hpp"
 #include "util/crc32.hpp"
 #include "workload/synth.hpp"
+#include "mask_helpers.hpp"
 
 namespace {
+
+using tbstc::test::makeMask;
 
 using namespace tbstc;
 using kernels::Isa;
@@ -260,8 +263,7 @@ TEST(KernelGolden, MaskAndStreamBytesAreIsaInvariant)
     bool first = true;
     for (Isa level : kernels::supportedIsas()) {
         ASSERT_TRUE(kernels::setIsa(level));
-        const auto tbs = core::tbsMask(scores, 0.5, 8,
-                                       core::defaultCandidates(8));
+        const auto tbs = makeMask(scores, core::Pattern::TBS, 0.5);
         const auto maskBytes = tbs.mask.toBytes();
         const auto stream = format::serializeDdc(w, tbs.mask, tbs.meta);
         const uint64_t mh = fnv(maskBytes.data(), maskBytes.size());
@@ -292,8 +294,8 @@ TEST(KernelGolden, TruncatedIndexSectionFailsUnderEveryIsa)
 {
     IsaGuard guard;
     const auto w = workload::synthWeights({"kern-fault", 64, 64, 1}, 9);
-    const auto tbs = core::tbsMask(core::magnitudeScores(w), 0.5, 8,
-                                   core::defaultCandidates(8));
+    const auto tbs =
+        makeMask(core::magnitudeScores(w), core::Pattern::TBS, 0.5);
     const auto stream = format::serializeDdc(w, tbs.mask, tbs.meta);
     for (Isa level : kernels::supportedIsas()) {
         ASSERT_TRUE(kernels::setIsa(level));

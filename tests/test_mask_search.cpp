@@ -1,24 +1,29 @@
 /**
  * @file
- * Tests for the pluggable mask-search strategy API: the optimal TBS
- * solver's dominance invariants over greedy Algorithm 1, the strategy
- * registry and tryMakeMask error surface, and the SlideSparse pattern
- * family (docs/mask_search.md).
+ * Tests for the mask-search API: the optimal TBS solver's dominance
+ * invariants over greedy Algorithm 1, the closed strategy set, the
+ * tryMakeMask error surface and step-1 count, and the SlideSparse
+ * pattern family (docs/mask_search.md).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <algorithm>
+#include <string>
 
 #include "core/mask_search.hpp"
 #include "core/maskspace.hpp"
+#include "core/pattern_table.hpp"
 #include "core/prune.hpp"
 #include "core/sparsify.hpp"
+#include "obs/obs.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
+#include "mask_helpers.hpp"
 
 namespace {
+
+using tbstc::test::makeMask;
 
 using namespace tbstc::core;
 using tbstc::util::FatalError;
@@ -57,11 +62,10 @@ void
 expectDominance(const Matrix &scores, double sparsity, size_t m,
                 bool expect_strict)
 {
-    const auto cand = defaultCandidates(m);
-    const TbsResult greedy = tbsMask(scores, sparsity, m, cand);
-    TbsSearchStats stats;
-    const TbsResult opt =
-        tbsMaskOptimal(scores, sparsity, m, cand, &stats);
+    const MaskOutput greedy = makeMask(scores, Pattern::TBS, sparsity, m);
+    const MaskOutput opt =
+        makeMask(scores, Pattern::TBS, sparsity, m, kOptimalStrategy);
+    const TbsSearchStats &stats = opt.stats;
     const Mask us = usMask(scores, sparsity);
 
     EXPECT_TRUE(validateTbs(greedy.mask, greedy.meta));
@@ -122,9 +126,8 @@ TEST(TbsOptimal, DominatesGreedyOnAdversarialTies)
 TEST(TbsOptimal, DeterministicAcrossCalls)
 {
     const Matrix s = randomScores(64, 64, 21);
-    const auto cand = defaultCandidates(8);
-    const TbsResult a = tbsMaskOptimal(s, 0.75, 8, cand);
-    const TbsResult b = tbsMaskOptimal(s, 0.75, 8, cand);
+    const MaskOutput a = makeMask(s, Pattern::TBS, 0.75, 8, kOptimalStrategy);
+    const MaskOutput b = makeMask(s, Pattern::TBS, 0.75, 8, kOptimalStrategy);
     EXPECT_EQ(a.mask.hamming(b.mask), 0u);
     EXPECT_EQ(a.usHamming, b.usHamming);
 }
@@ -132,9 +135,8 @@ TEST(TbsOptimal, DeterministicAcrossCalls)
 TEST(TbsOptimal, SolverOutputStaysWithinBlockQuota)
 {
     const Matrix s = randomScores(64, 64, 31);
-    TbsSearchStats stats;
-    const TbsResult opt =
-        tbsMaskOptimal(s, 0.625, 8, defaultCandidates(8), &stats);
+    const MaskOutput opt =
+        makeMask(s, Pattern::TBS, 0.625, 8, kOptimalStrategy);
     // validateTbs already enforces the declared-direction cap; check
     // the cross-direction cap that makes a block transposable matches
     // the reported count.
@@ -160,7 +162,7 @@ TEST(TbsOptimal, SolverOutputStaysWithinBlockQuota)
             transposable += ok;
         }
     }
-    EXPECT_EQ(stats.transposableBlocks, transposable);
+    EXPECT_EQ(opt.stats.transposableBlocks, transposable);
     (void)us;
 }
 
@@ -194,6 +196,12 @@ TEST(MaskSearch, ValidatesRequestFields)
     req.pattern = Pattern::SS;
     EXPECT_EQ(tryMakeMask(s, req).error().kind,
               MaskErrorKind::BadBlockSize);
+    // Past 256 the SS ladder 0..m-2 no longer fits a byte: an error,
+    // not a throw.
+    const Matrix wide = randomScores(1, 258, 49);
+    req.m = 258;
+    EXPECT_EQ(tryMakeMask(wide, req).error().kind,
+              MaskErrorKind::BadBlockSize);
 
     req = {};
     req.candidates = {3, 9}; // 9 > m.
@@ -209,48 +217,66 @@ TEST(MaskSearch, ValidatesRequestFields)
 TEST(MaskSearch, EmptyAndGreedyMatchLegacyTbsMask)
 {
     const Matrix s = randomScores(32, 32, 44);
-    const TbsResult legacy =
-        tbsMask(s, 0.75, 8, defaultCandidates(8));
+    const Mask legacy =
+        patternMask(Pattern::TBS, s, 0.75, 8, defaultCandidates(8));
     for (const char *name : {"", kGreedyStrategy}) {
         MaskRequest req;
         req.strategy = name;
         req.sparsity = 0.75;
         const auto res = tryMakeMask(s, req);
         ASSERT_TRUE(res.ok()) << name;
-        EXPECT_EQ(res->mask.hamming(legacy.mask), 0u) << name;
-        EXPECT_EQ(res->usHamming, legacy.usHamming) << name;
+        EXPECT_EQ(res->mask.hamming(legacy), 0u) << name;
+        EXPECT_EQ(res->usHamming, legacy.hamming(usMask(s, 0.75)))
+            << name;
         EXPECT_EQ(res->stats.blocks, 16u) << name;
     }
 }
 
-TEST(MaskSearch, RegistryListsBuiltinsAndAcceptsCustom)
+TEST(MaskSearch, StrategySetIsClosed)
 {
     EXPECT_TRUE(isMaskStrategy(""));
     EXPECT_TRUE(isMaskStrategy(kGreedyStrategy));
     EXPECT_TRUE(isMaskStrategy(kOptimalStrategy));
     EXPECT_FALSE(isMaskStrategy("nope"));
-    const auto names = maskStrategyNames();
-    EXPECT_NE(std::find(names.begin(), names.end(), kGreedyStrategy),
-              names.end());
-    EXPECT_NE(std::find(names.begin(), names.end(), kOptimalStrategy),
-              names.end());
+    EXPECT_FALSE(isMaskStrategy("Greedy"));
 
-    registerMaskStrategy(
-        "test-all-greedy",
-        [](const Matrix &scores, double sparsity, size_t m,
-           std::span<const uint8_t> cand, TbsSearchStats *stats) {
-            if (stats != nullptr)
-                stats->blocks = 777;
-            return tbsMask(scores, sparsity, m, cand);
-        });
-    EXPECT_TRUE(isMaskStrategy("test-all-greedy"));
+    // "greedy" is spelled "" wherever a strategy keys or batches.
+    EXPECT_EQ(canonicalMaskStrategy(kGreedyStrategy), "");
+    EXPECT_EQ(canonicalMaskStrategy(""), "");
+    EXPECT_EQ(canonicalMaskStrategy(kOptimalStrategy), kOptimalStrategy);
+}
 
-    const Matrix s = randomScores(16, 16, 45);
-    MaskRequest req;
-    req.strategy = "test-all-greedy";
-    const auto res = tryMakeMask(s, req);
-    ASSERT_TRUE(res.ok());
-    EXPECT_EQ(res->stats.blocks, 777u);
+/** Samples of the `core.usMask` host stage so far. */
+uint64_t
+usMaskRuns()
+{
+    const std::string json = tbstc::obs::metricsJson(true);
+    const size_t at = json.find("\"core.usMask.ms\": {");
+    if (at == std::string::npos)
+        return 0; // Registered on the first usMask call.
+    const std::string key = "\"total\": ";
+    const size_t total = json.find(key, at);
+    return std::stoull(json.substr(total + key.size()));
+}
+
+TEST(MaskSearch, OneCallRunsStepOneOnce)
+{
+    tbstc::obs::setMetricsEnabled(true);
+    if (!tbstc::obs::metricsEnabled())
+        GTEST_SKIP() << "obs compiled out (TBSTC_OBS=OFF)";
+    const Matrix s = randomScores(32, 32, 48);
+    for (size_t i = 0; i < kPatternCount; ++i) {
+        const auto p = static_cast<Pattern>(i);
+        for (const char *strategy : {"", kOptimalStrategy}) {
+            tbstc::obs::resetMetrics();
+            makeMask(s, p, 0.6, 8, strategy);
+            // Dense's distance to step 1 is closed-form.
+            EXPECT_EQ(usMaskRuns(), p == Pattern::Dense ? 0u : 1u)
+                << patternName(p) << " " << strategy;
+        }
+    }
+    tbstc::obs::resetMetrics();
+    tbstc::obs::setMetricsEnabled(false);
 }
 
 TEST(MaskSearch, NonTbsPatternsAcceptKnownStrategies)
@@ -288,7 +314,7 @@ TEST(SlideSparse, GeneratedMasksValidateAcrossBlockSizes)
     for (const size_t m : {4u, 8u, 16u}) {
         const Matrix s = randomScores(2 * m, 4 * m, 50 + m);
         for (const double sp : {0.5, 0.75}) {
-            const Mask mask = ssMask(s, sp, m);
+            const Mask mask = makeMask(s, Pattern::SS, sp, m).mask;
             EXPECT_TRUE(validateSlideSparse(mask, m))
                 << "m=" << m << " s=" << sp;
             const auto size = static_cast<double>(mask.size());
@@ -313,7 +339,7 @@ TEST(SlideSparse, ValidatorRejectsOverfullTile)
 {
     const size_t m = 8;
     const Matrix s = randomScores(m, 2 * m, 60);
-    Mask mask = ssMask(s, 0.5, m);
+    Mask mask = patternMask(Pattern::SS, s, 0.5, m, {});
     ASSERT_TRUE(validateSlideSparse(mask, m));
     // Saturate tile 0 of row 0: m kept > the 2N-2 = m-2 cap.
     for (size_t c = 0; c < m; ++c)
@@ -325,7 +351,8 @@ TEST(SlideSparse, TileCapIsTwoBelowM)
 {
     const size_t m = 8;
     const Matrix s = randomScores(4 * m, 4 * m, 61);
-    const Mask mask = ssMask(s, 0.25, m); // Dense enough to saturate.
+    // Dense enough to saturate.
+    const Mask mask = patternMask(Pattern::SS, s, 0.25, m, {});
     for (size_t r = 0; r < mask.rows(); ++r)
         for (size_t t = 0; t < mask.cols(); t += m)
             EXPECT_LE(mask.rangeNnz(r, t, m), m - 2)
@@ -334,19 +361,23 @@ TEST(SlideSparse, TileCapIsTwoBelowM)
 
 TEST(SlideSparse, CandidateLadderIsContiguous)
 {
-    const auto cand = slideSparseCandidates(8);
+    const auto ladder = patternSpec(Pattern::SS).ladder;
+    ASSERT_NE(ladder, nullptr);
+    const auto cand = ladder(8);
     ASSERT_EQ(cand.size(), 7u);
     for (size_t i = 0; i < cand.size(); ++i)
         EXPECT_EQ(cand[i], i);
-    EXPECT_THROW(slideSparseCandidates(3), FatalError);
-    EXPECT_THROW(slideSparseCandidates(2), FatalError);
-    EXPECT_THROW(slideSparseCandidates(7), FatalError);
+    EXPECT_THROW(ladder(3), FatalError);
+    EXPECT_THROW(ladder(2), FatalError);
+    EXPECT_THROW(ladder(7), FatalError);
 }
 
 TEST(SlideSparse, PatternMaskDispatches)
 {
+    // SS draws from its own ladder; the caller's candidates do not
+    // apply.
     const Matrix s = randomScores(16, 16, 62);
-    const Mask direct = ssMask(s, 0.75, 8);
+    const Mask direct = makeMask(s, Pattern::SS, 0.75).mask;
     const Mask via = patternMask(Pattern::SS, s, 0.75, 8,
                                  defaultCandidates(8));
     EXPECT_EQ(direct.hamming(via), 0u);

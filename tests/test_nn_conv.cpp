@@ -8,12 +8,16 @@
 
 #include <cmath>
 
+#include "core/mask_search.hpp"
 #include "core/prune.hpp"
 #include "core/sparsify.hpp"
 #include "nn/conv_layer.hpp"
 #include "util/rng.hpp"
+#include "mask_helpers.hpp"
 
 namespace {
+
+using tbstc::test::makeMask;
 
 using namespace tbstc;
 using core::Matrix;
@@ -186,8 +190,8 @@ TEST(SimpleCnn, TbsMaskedConvStillLearns)
         // Regenerate the TBS mask on conv2's lowered weights (72 cols
         // = 9 blocks of 8) each epoch, exactly like sparse training.
         auto &w2 = cnn.conv2().weights();
-        const auto res = core::tbsMask(core::magnitudeScores(w2), 0.5,
-                                       8, core::defaultCandidates(8));
+        const auto res =
+            makeMask(core::magnitudeScores(w2), core::Pattern::TBS, 0.5);
         cnn.conv2().setMask(res.mask);
         EXPECT_TRUE(core::validateTbs(res.mask, res.meta));
 
@@ -209,8 +213,7 @@ TEST(Conv2dLayer, GradientCriterionScoresConvWeights)
     for (auto &v : g.data())
         v = static_cast<float>(rng.gaussian());
     const Matrix scores = core::gradientScores(w, g);
-    const auto res = core::tbsMask(scores, 0.5, 8,
-                                   core::defaultCandidates(8));
+    const auto res = makeMask(scores, core::Pattern::TBS, 0.5);
     EXPECT_TRUE(core::validateTbs(res.mask, res.meta));
     EXPECT_NEAR(res.mask.sparsity(), 0.5, 0.06);
 }

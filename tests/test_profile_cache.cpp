@@ -195,13 +195,14 @@ TEST(ProfileCache, KeySeparatesMaskStrategies)
     EXPECT_FALSE(sameProfile(base, optimal));
     EXPECT_EQ(store.stats().misses, before.misses + 2);
 
-    // The spelled-out default keys separately from the empty string
-    // (the key hashes the raw name) but must rebuild to the same
-    // bits — a conservative split, never a false hit.
+    // The spelled-out default keys as the empty string (the key
+    // hashes the canonical name), so it is served the default's
+    // profile instead of building and storing it twice.
     auto named = testSpec();
     named.maskStrategy = "greedy";
     const LayerProfile greedy = buildLayerProfile(named);
-    EXPECT_EQ(store.stats().misses, before.misses + 3);
+    EXPECT_EQ(store.stats().misses, before.misses + 2);
+    EXPECT_EQ(store.stats().memoryHits, before.memoryHits + 1);
     EXPECT_TRUE(sameProfile(base, greedy));
 }
 

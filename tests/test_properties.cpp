@@ -11,16 +11,19 @@
 #include <tuple>
 
 #include "accel/accelerator.hpp"
+#include "core/mask_search.hpp"
 #include "core/prune.hpp"
-#include "core/sparsify.hpp"
 #include "format/codec.hpp"
 #include "format/serialize.hpp"
 #include "sim/scheduler.hpp"
 #include "util/fp16.hpp"
 #include "util/rng.hpp"
 #include "workload/synth.hpp"
+#include "mask_helpers.hpp"
 
 namespace {
+
+using tbstc::test::makeMask;
 
 using namespace tbstc;
 
@@ -38,8 +41,8 @@ TEST_P(SerializeSweep, RoundTripAcrossGrid)
     const auto [sparsity, dim] = GetParam();
     const auto w = workload::synthWeights(
         {"ser-sweep", dim, dim, 1}, 1000 + dim);
-    const auto tbs = core::tbsMask(core::magnitudeScores(w), sparsity,
-                                   8, core::defaultCandidates(8));
+    const auto tbs =
+        makeMask(core::magnitudeScores(w), core::Pattern::TBS, sparsity);
     const auto bytes = format::serializeDdc(w, tbs.mask, tbs.meta);
     const auto parsed = format::deserializeDdc(bytes);
 

@@ -28,6 +28,7 @@
 #include <unistd.h>
 
 #include "accel/accelerator.hpp"
+#include "obs/json.hpp"
 #include "serve/exec.hpp"
 #include "serve/jsonv.hpp"
 #include "serve/loadgen.hpp"
@@ -86,7 +87,7 @@ TEST(ServeJson, UnicodeEscapesDecodeToUtf8)
 TEST(ServeJson, QuoteAndParseRoundTrip)
 {
     const std::string nasty = "a\"b\\c\n\t\x01z";
-    const auto doc = parseJson("{\"k\": " + jsonQuote(nasty) + "}");
+    const auto doc = parseJson("{\"k\": " + obs::jsonQuote(nasty) + "}");
     ASSERT_TRUE(doc.ok());
     EXPECT_EQ(doc->get("k").asString(), nasty);
 }
@@ -200,7 +201,9 @@ TEST(ServeProtocol, MaskStrategyRoundTripsAndValidates)
     sp.sparsify.strategy = "greedy";
     const auto sparsed = parseRequest(serializeRequest(sp));
     ASSERT_TRUE(sparsed.ok());
-    EXPECT_EQ(sparsed->sparsify.strategy, "greedy");
+    // The spelled-out default parses to its canonical "", so it
+    // batches and caches with strategy-less requests.
+    EXPECT_EQ(sparsed->sparsify.strategy, "");
 
     // Unknown strategies are rejected at parse time on both ops, with
     // the offending name in the diagnostic.
@@ -235,6 +238,31 @@ TEST(ServeProtocol, ValidationErrorsCarryTheRequestId)
             .ok());
     EXPECT_FALSE(
         parseRequest(R"({"op": "sparsify", "layer": "bad"})").ok());
+}
+
+TEST(ServeProtocol, UntileableLayersFailAtParse)
+{
+    // run: every accelerator cuts weights into 8x8 blocks.
+    const auto run = parseRequest(
+        R"({"id": 5, "op": "run", "accel": "tc", "layer": "100x100x1"})");
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.error().id, 5u);
+    EXPECT_NE(run.error().message.find("does not tile into 8x8 blocks"),
+              std::string::npos)
+        << run.error().message;
+    EXPECT_TRUE(parseRequest(R"({"op": "run", "accel": "tc",
+                                 "layer": "104x96x1"})")
+                    .ok());
+
+    // sparsify: the weights, row-capped at 4096, must tile by m.
+    EXPECT_FALSE(parseRequest(R"({"op": "sparsify", "layer": "100x100x1"})")
+                     .ok());
+    EXPECT_TRUE(parseRequest(R"({"op": "sparsify", "layer": "100x100x1",
+                                 "m": 4})")
+                    .ok());
+    EXPECT_FALSE(parseRequest(R"({"op": "sparsify", "layer": "6000x12x1",
+                                  "m": 6})")
+                     .ok());
 }
 
 TEST(ServeProtocol, UnknownFieldsAreIgnored)
@@ -469,6 +497,18 @@ TEST(ServeServer, SparsifyPingStatsAndBadRequests)
     EXPECT_EQ(resp.get("kind").asString(), "bad_request");
     EXPECT_DOUBLE_EQ(resp.get("id").asNumber(), 11.0);
 
+    // So does a layer that does not tile into blocks, on either op.
+    ASSERT_TRUE(client.sendRaw(
+        R"({"id": 12, "op": "run", "accel": "tc", "layer": "100x100x1"})"));
+    resp = client.recv();
+    EXPECT_EQ(resp.get("kind").asString(), "bad_request");
+    EXPECT_DOUBLE_EQ(resp.get("id").asNumber(), 12.0);
+    ASSERT_TRUE(client.sendRaw(
+        R"({"id": 13, "op": "sparsify", "layer": "100x100x1"})"));
+    resp = client.recv();
+    EXPECT_EQ(resp.get("kind").asString(), "bad_request");
+    EXPECT_DOUBLE_EQ(resp.get("id").asNumber(), 13.0);
+
     Request again;
     again.id = 10;
     again.op = Op::Ping;
@@ -478,7 +518,7 @@ TEST(ServeServer, SparsifyPingStatsAndBadRequests)
     server.beginShutdown();
     server.wait();
     const ServerCounters c = server.counters();
-    EXPECT_EQ(c.badRequests, 2u);
+    EXPECT_EQ(c.badRequests, 4u);
     EXPECT_EQ(c.pings, 2u);
 }
 

@@ -266,8 +266,10 @@ runOne(accel::AccelKind kind, const SimOpts &opts, bool bw_set)
         fail("need --model or --layer");
     if (!spec.model.empty() && !serve::tryParseModel(spec.model))
         fail("unknown model '" + spec.model + "'");
-    if (!spec.layer.empty())
-        parseLayer(spec.layer);
+    if (!spec.layer.empty()) {
+        if (const auto err = serve::runLayerError(parseLayer(spec.layer)))
+            fail(*err);
+    }
     return serve::executeRun(spec);
 }
 
