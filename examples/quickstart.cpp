@@ -19,7 +19,7 @@
 #include <cstdio>
 
 // The umbrella header is the library's public API surface; see its
-// header comment for the primary (Result-returning) vs legacy tiers.
+// header comment for the Result-returning fallible operations.
 #include "tbstc.hpp"
 
 using namespace tbstc;

@@ -19,159 +19,168 @@ using sim::IntraMap;
 using sim::RunStats;
 using workload::ProfileSpec;
 
+namespace {
+
+/**
+ * Datapath of the structured baselines: no adaptive codec, matrix-B
+ * distribution or alternate buffer (TB-STC's Sec. V units).
+ */
+constexpr ArchConfig
+baseline(ArchConfig cfg)
+{
+    cfg.codecUnit = false;
+    cfg.mbdUnit = false;
+    cfg.alternateUnit = false;
+    return cfg;
+}
+
+/**
+ * The accelerator table, one row per AccelKind in enum order. Each
+ * config is the paper's common geometry (ArchConfig's defaults) plus
+ * that architecture's changes.
+ */
+constexpr AccelSpec kAccels[] = {
+    {.kind = AccelKind::TC, .name = "TC", .wireName = "tc",
+     .pattern = Pattern::Dense, .format = StorageFormat::Dense,
+     .config = baseline({.interSched = InterSched::Naive})}, // Uniform blocks.
+    {.kind = AccelKind::STC, .name = "STC", .wireName = "stc",
+     .pattern = Pattern::TS, .format = StorageFormat::SDC,
+     .fixedSparsity = 0.5, // 4:8.
+     .config = baseline({.interSched = InterSched::Naive})}, // Uniform blocks.
+    {.kind = AccelKind::Vegeta, .name = "VEGETA", .wireName = "vegeta",
+     .pattern = Pattern::RSV, .format = StorageFormat::Bitmap,
+     .config = baseline({.interSched = InterSched::Naive})}, // Row waves.
+    // Hierarchical metadata gives coarse (tile-level) balancing: aware
+    // dispatch, but with a much shallower buffer than TB-STC's
+    // scheduling unit, and two-level metadata decode overhead in the
+    // issue path.
+    {.kind = AccelKind::HighLight, .name = "HighLight",
+     .wireName = "highlight", .pattern = Pattern::RSH,
+     .format = StorageFormat::Bitmap,
+     .config = baseline({.interSched = InterSched::Aware,
+                         .schedLookahead = 2,
+                         .beatOverheadScale = 1.10})},
+    // Row merging balances. Gather/union modules: higher switching
+    // energy per MAC and always-on overhead (paper Fig. 6(d)); slight
+    // beat overhead from merge bubbles.
+    {.kind = AccelKind::RmStc, .name = "RM-STC", .wireName = "rmstc",
+     .pattern = Pattern::US, .format = StorageFormat::Bitmap,
+     .config = baseline({.interSched = InterSched::Aware,
+                         .computeEnergyScale = 2.10,
+                         .extraStaticW = 0.045,
+                         .beatOverheadScale = 1.05,
+                         .elementGranular = true})},
+    // High-sparsity design point: generous bandwidth, but an
+    // element-granular pipeline that cannot reach structured
+    // throughput at moderate density (paper Sec. VII-D4).
+    {.kind = AccelKind::Sgcn, .name = "SGCN", .wireName = "sgcn",
+     .pattern = Pattern::US, .format = StorageFormat::Bitmap,
+     .config = baseline({.dramGbps = 256.0,
+                         .interSched = InterSched::Aware,
+                         .computeEnergyScale = 1.40,
+                         .extraStaticW = 0.015,
+                         .beatOverheadScale = 1.35,
+                         .elementGranular = true})},
+    // This paper: the full feature set.
+    {.kind = AccelKind::TbStc, .name = "TB-STC", .wireName = "tbstc",
+     .pattern = Pattern::TBS, .format = StorageFormat::DDC,
+     .independentDim = true},
+    // SIGMA's forwarding adder network in place of the DVPE reduction
+    // network: element-level forwarding burns energy and adds
+    // arbitration bubbles (paper Sec. VII-E2: 1.61x EDP). An ablation,
+    // so not one of compare's baselines.
+    {.kind = AccelKind::TbStcFan, .name = "DVPE+FAN", .wireName = "fan",
+     .pattern = Pattern::TBS, .format = StorageFormat::DDC,
+     .independentDim = true, .compared = false,
+     .config = {.computeEnergyScale = 2.0,
+                .extraStaticW = 0.030,
+                .beatOverheadScale = 1.25}},
+};
+
+/** kAccels[i] is the row of AccelKind i, and every kind has one. */
+constexpr bool
+indexedByKind()
+{
+    for (size_t i = 0; i < std::size(kAccels); ++i) {
+        if (static_cast<size_t>(kAccels[i].kind) != i)
+            return false;
+    }
+    return std::size(kAccels) == size_t(AccelKind::TbStcFan) + 1;
+}
+static_assert(indexedByKind());
+
+} // namespace
+
+std::span<const AccelSpec>
+accelSpecs()
+{
+    return kAccels;
+}
+
+const AccelSpec &
+accelSpec(AccelKind kind)
+{
+    const auto i = static_cast<size_t>(kind);
+    util::ensure(i < std::size(kAccels), "unknown AccelKind");
+    return kAccels[i];
+}
+
 std::string
 accelName(AccelKind kind)
 {
-    switch (kind) {
-      case AccelKind::TC:        return "TC";
-      case AccelKind::STC:       return "STC";
-      case AccelKind::Vegeta:    return "VEGETA";
-      case AccelKind::HighLight: return "HighLight";
-      case AccelKind::RmStc:     return "RM-STC";
-      case AccelKind::Sgcn:      return "SGCN";
-      case AccelKind::TbStc:     return "TB-STC";
-      case AccelKind::TbStcFan:  return "DVPE+FAN";
-    }
-    util::panic("unknown AccelKind");
+    return accelSpec(kind).name;
 }
 
 core::Pattern
 accelPattern(AccelKind kind)
 {
-    switch (kind) {
-      case AccelKind::TC:        return Pattern::Dense;
-      case AccelKind::STC:       return Pattern::TS;
-      case AccelKind::Vegeta:    return Pattern::RSV;
-      case AccelKind::HighLight: return Pattern::RSH;
-      case AccelKind::RmStc:     return Pattern::US;
-      case AccelKind::Sgcn:      return Pattern::US;
-      case AccelKind::TbStc:     return Pattern::TBS;
-      case AccelKind::TbStcFan:  return Pattern::TBS;
-    }
-    util::panic("unknown AccelKind");
+    return accelSpec(kind).pattern;
 }
 
 format::StorageFormat
 accelFormat(AccelKind kind)
 {
-    switch (kind) {
-      case AccelKind::TC:        return StorageFormat::Dense;
-      case AccelKind::STC:       return StorageFormat::SDC;
-      case AccelKind::Vegeta:    return StorageFormat::Bitmap;
-      case AccelKind::HighLight: return StorageFormat::Bitmap;
-      case AccelKind::RmStc:     return StorageFormat::Bitmap;
-      case AccelKind::Sgcn:      return StorageFormat::Bitmap;
-      case AccelKind::TbStc:     return StorageFormat::DDC;
-      case AccelKind::TbStcFan:  return StorageFormat::DDC;
-    }
-    util::panic("unknown AccelKind");
-}
-
-bool
-supportsIndependentDim(AccelKind kind)
-{
-    return kind == AccelKind::TbStc || kind == AccelKind::TbStcFan;
+    return accelSpec(kind).format;
 }
 
 sim::ArchConfig
 accelConfig(AccelKind kind)
 {
-    ArchConfig cfg; // Defaults are the paper's common geometry.
-    switch (kind) {
-      case AccelKind::TC:
-      case AccelKind::STC:
-        cfg.codecUnit = false;
-        cfg.mbdUnit = false;
-        cfg.alternateUnit = false;
-        cfg.interSched = InterSched::Naive; // Uniform blocks anyway.
-        break;
-      case AccelKind::Vegeta:
-        cfg.codecUnit = false;
-        cfg.mbdUnit = false;
-        cfg.alternateUnit = false;
-        cfg.interSched = InterSched::Naive; // Row-wave dispatch.
-        break;
-      case AccelKind::HighLight:
-        cfg.codecUnit = false;
-        cfg.mbdUnit = false;
-        cfg.alternateUnit = false;
-        // Hierarchical metadata gives coarse (tile-level) balancing:
-        // aware dispatch, but with a much shallower buffer than
-        // TB-STC's scheduling unit, and two-level metadata decode
-        // overhead in the issue path.
-        cfg.interSched = InterSched::Aware;
-        cfg.schedLookahead = 2;
-        cfg.beatOverheadScale = 1.10;
-        break;
-      case AccelKind::RmStc:
-        cfg.codecUnit = false;
-        cfg.mbdUnit = false;
-        cfg.alternateUnit = false;
-        cfg.interSched = InterSched::Aware; // Row merging balances.
-        // Gather/union modules: higher switching energy per MAC and
-        // always-on overhead (paper Fig. 6(d)); slight beat overhead
-        // from merge bubbles.
-        cfg.computeEnergyScale = 2.10;
-        cfg.extraStaticW = 0.045;
-        cfg.beatOverheadScale = 1.05;
-        cfg.elementGranular = true;
-        break;
-      case AccelKind::Sgcn:
-        cfg.codecUnit = false;
-        cfg.mbdUnit = false;
-        cfg.alternateUnit = false;
-        cfg.interSched = InterSched::Aware;
-        // High-sparsity design point: generous bandwidth, but an
-        // element-granular pipeline that cannot reach structured
-        // throughput at moderate density (paper Sec. VII-D4).
-        cfg.dramGbps = 256.0;
-        cfg.beatOverheadScale = 1.35;
-        cfg.computeEnergyScale = 1.40;
-        cfg.extraStaticW = 0.015;
-        cfg.elementGranular = true;
-        break;
-      case AccelKind::TbStc:
-        break; // Full feature set.
-      case AccelKind::TbStcFan:
-        // SIGMA's forwarding adder network in place of the DVPE
-        // reduction network: element-level forwarding burns energy and
-        // adds arbitration bubbles (paper Sec. VII-E2: 1.61x EDP).
-        cfg.computeEnergyScale = 2.0;
-        cfg.extraStaticW = 0.030;
-        cfg.beatOverheadScale = 1.25;
-        break;
-    }
-    return cfg;
+    return accelSpec(kind).config;
+}
+
+bool
+supportsIndependentDim(AccelKind kind)
+{
+    return accelSpec(kind).independentDim;
 }
 
 RunStats
 runLayer(AccelKind kind, const RunRequest &req)
 {
+    const AccelSpec &row = accelSpec(kind);
     const obs::ScopedSpan span(util::formatStr(
-        "accel.runLayer {} {}x{}x{}", accelName(kind), req.shape.x,
-        req.shape.y, req.shape.nb));
-    const Pattern pattern =
-        req.patternOverride.value_or(accelPattern(kind));
+        "accel.runLayer {} {}x{}x{}", row.name, req.shape.x, req.shape.y,
+        req.shape.nb));
+    const Pattern pattern = req.patternOverride.value_or(row.pattern);
 
     ProfileSpec spec;
     spec.shape = req.shape;
     spec.pattern = pattern;
-    spec.sparsity = kind == AccelKind::STC && !req.patternOverride
-        ? 0.5 // STC's datapath is hard-wired 4:8.
+    spec.sparsity = row.fixedSparsity && !req.patternOverride
+        ? *row.fixedSparsity
         : req.sparsity;
     spec.m = req.m;
     spec.maskStrategy = req.maskStrategy;
-    spec.fmt = req.formatOverride.value_or(accelFormat(kind));
+    spec.fmt = req.formatOverride.value_or(row.format);
     // Structured-only datapaths cannot express independent-dimension
     // blocks and fall back to dense; unstructured-capable ones
     // (RM-STC, SGCN) consume any mask natively.
     spec.densifyIndependent = pattern == Pattern::TBS
-        && !supportsIndependentDim(kind)
-        && accelPattern(kind) != Pattern::US;
+        && !row.independentDim && row.pattern != Pattern::US;
     spec.seed = req.seed;
 
-    const ArchConfig cfg =
-        req.configOverride.value_or(accelConfig(kind));
+    const ArchConfig cfg = req.configOverride.value_or(row.config);
     const util::ThreadScope threads(cfg.hostThreads);
     const sim::LayerProfile profile = workload::buildLayerProfile(spec);
     sim::RunOptions opts;
@@ -184,7 +193,8 @@ runLayer(AccelKind kind, const RunRequest &req)
 RunStats
 runModel(AccelKind kind, workload::ModelId model, double sparsity,
          uint64_t seq, bool int8_weights, uint64_t seed,
-         const std::string &maskStrategy)
+         const std::string &maskStrategy,
+         const std::optional<ArchConfig> &config)
 {
     const obs::ScopedSpan span(util::formatStr(
         "accel.runModel {} model={} seq={}", accelName(kind),
@@ -215,6 +225,7 @@ runModel(AccelKind kind, workload::ModelId model, double sparsity,
             req.seed = seed;
             req.int8Weights = int8_weights;
             req.maskStrategy = maskStrategy;
+            req.configOverride = config;
             return runLayer(kind, req).scaled(reps[i].second);
         });
     RunStats total;
@@ -226,13 +237,14 @@ runModel(AccelKind kind, workload::ModelId model, double sparsity,
 RunStats
 runInference(AccelKind kind, workload::ModelId model, double sparsity,
              uint64_t seq, bool int8_weights, uint64_t seed,
-             const std::string &maskStrategy)
+             const std::string &maskStrategy,
+             const std::optional<ArchConfig> &config)
 {
     const obs::ScopedSpan span(util::formatStr(
         "accel.runInference {} model={} seq={}", accelName(kind),
         workload::modelName(model), seq));
     RunStats total = runModel(kind, model, sparsity, seq, int8_weights,
-                              seed, maskStrategy);
+                              seed, maskStrategy, config);
     std::vector<workload::InferenceOp> acts;
     for (const auto &op : workload::inferenceGraph(model, seq)) {
         if (!op.weightOp) // Weight ops are covered by runModel().
@@ -247,6 +259,7 @@ runInference(AccelKind kind, workload::ModelId model, double sparsity,
             // Activation GEMMs are dense whatever the weight pattern.
             req.patternOverride = Pattern::Dense;
             req.formatOverride = StorageFormat::Dense;
+            req.configOverride = config;
             return runLayer(kind, req).scaled(acts[i].count);
         });
     for (const auto &s : stats)

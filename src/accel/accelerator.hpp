@@ -3,30 +3,18 @@
  * Accelerator facade: one entry point that runs a (model, pattern,
  * sparsity) workload on any of the paper's evaluated architectures.
  *
- * Each AccelKind bundles the sparsity pattern the architecture can
- * express, the storage format it consumes, and the hardware feature
- * set / energy knobs of its datapath (paper Sec. VII-A2 baselines):
- *
- *  | Kind      | Pattern | Format | Notes                             |
- *  |-----------|---------|--------|-----------------------------------|
- *  | TC        | Dense   | Dense  | plain tensor core                 |
- *  | STC       | TS 4:8  | SDC    | NVIDIA sparse tensor core         |
- *  | Vegeta    | RS-V    | Bitmap | per-row N, wave scheduling        |
- *  | HighLight | RS-H    | DDC*   | hierarchical, wave scheduling     |
- *  | RmStc     | US      | Bitmap | row-merge; costly gather/union    |
- *  | Sgcn      | US      | CSR    | 256 GB/s, element pipeline        |
- *  | TbStc     | TBS     | DDC    | this paper                        |
- *  | TbStcFan  | TBS     | DDC    | DVPE replaced by SIGMA's FAN      |
- *
- *  (*) HighLight's block-compressed format is modelled with the DDC
- *  encoder over reduction-only metadata, which matches its
- *  tile-skipping efficiency class.
+ * Every per-architecture fact (names, pattern, storage format,
+ * independent-dimension support, hardware config) is one AccelSpec row
+ * of the accelerator table, kAccels[] in accelerator.cpp; the lookup
+ * functions below read it, and the CLI and daemon derive their name
+ * lists from it (paper Sec. VII-A2 baselines).
  */
 
 #ifndef TBSTC_ACCEL_ACCELERATOR_HPP
 #define TBSTC_ACCEL_ACCELERATOR_HPP
 
 #include <optional>
+#include <span>
 #include <string>
 
 #include "sim/pipeline.hpp"
@@ -47,6 +35,32 @@ enum class AccelKind : uint8_t
     TbStc,
     TbStcFan,
 };
+
+/** One architecture's row of the accelerator table. */
+struct AccelSpec
+{
+    AccelKind kind;
+    const char *name;     ///< Display name, as in the paper's figures.
+    const char *wireName; ///< Lowercase CLI/daemon name ("tbstc").
+    core::Pattern pattern;        ///< Pattern it natively expresses.
+    format::StorageFormat format; ///< Storage format it consumes.
+    bool independentDim = false; ///< Exploits independent-dim blocks.
+    /** Part of `tbstc compare`'s baseline set (the FAN ablation is not). */
+    bool compared = true;
+    /**
+     * Sparsity the datapath is hard-wired to, whatever the request
+     * asks (STC's 4:8), unless a pattern override deploys another
+     * model.
+     */
+    std::optional<double> fixedSparsity{};
+    sim::ArchConfig config{}; ///< Paper defaults plus this row's changes.
+};
+
+/** Every row of the accelerator table, in AccelKind order. */
+std::span<const AccelSpec> accelSpecs();
+
+/** The row of @p kind. */
+const AccelSpec &accelSpec(AccelKind kind);
 
 /** Display name as used in the paper's figures. */
 std::string accelName(AccelKind kind);
@@ -100,23 +114,27 @@ sim::RunStats runLayer(AccelKind kind, const RunRequest &req);
 /**
  * Simulate a whole model (sum over modelLayers) on @p kind.
  * Identically shaped layers (ubiquitous in transformers) are
- * simulated once and scaled by their multiplicity.
+ * simulated once and scaled by their multiplicity. @p config, when
+ * set, replaces accelConfig(kind) for every layer (RunRequest's
+ * configOverride).
  */
 sim::RunStats runModel(AccelKind kind, workload::ModelId model,
                        double sparsity, uint64_t seq = 128,
                        bool int8_weights = false, uint64_t seed = 42,
-                       const std::string &maskStrategy = {});
+                       const std::string &maskStrategy = {},
+                       const std::optional<sim::ArchConfig> &config = {});
 
 /**
  * Simulate a full inference pass — weight GEMMs at the requested
  * sparsity plus the dense activation GEMMs (attention scores/context)
  * that weight pruning cannot touch (workload/graph.hpp). The honest
- * whole-network latency.
+ * whole-network latency. @p config applies to both as in runModel().
  */
 sim::RunStats runInference(AccelKind kind, workload::ModelId model,
                            double sparsity, uint64_t seq = 128,
                            bool int8_weights = false, uint64_t seed = 42,
-                           const std::string &maskStrategy = {});
+                           const std::string &maskStrategy = {},
+                           const std::optional<sim::ArchConfig> &config = {});
 
 } // namespace tbstc::accel
 

@@ -54,14 +54,15 @@ makeMask(const Matrix &scores, const MaskRequest &req, bool distance)
         return fail(MaskErrorKind::BadSparsity,
                     util::formatStr("sparsity {} is outside [0, 1]",
                                     req.sparsity));
-    if (req.m == 0)
-        return fail(MaskErrorKind::BadBlockSize, "block size m is 0");
     const PatternSpec &spec = patternSpec(req.pattern);
-    if (spec.evenM && (req.m < 4 || req.m % 2 != 0 || req.m > 256))
+    const size_t min_m = spec.evenM ? 4 : 1;
+    if (req.m < min_m || req.m > spec.maxM
+        || (spec.evenM && req.m % 2 != 0))
         return fail(MaskErrorKind::BadBlockSize,
-                    util::formatStr("{} requires an even block size in "
-                                    "[4, 256]; got {}",
-                                    spec.name, req.m));
+                    util::formatStr("{} requires {} block size in "
+                                    "[{}, {}]; got {}",
+                                    spec.name, spec.evenM ? "an even" : "a",
+                                    min_m, spec.maxM, req.m));
     if (scores.cols() % req.m != 0
         || (spec.blocks && scores.rows() % req.m != 0))
         return fail(MaskErrorKind::NotDivisible,

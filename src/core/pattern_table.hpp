@@ -50,8 +50,13 @@ struct PatternSpec
 {
     const char *name; ///< As in the paper's tables.
     bool blocks;      ///< Rows tile by m too (M x M blocks).
-    /** m must be even, in [4, 256]: SlideSparse's m = 2N, ladder 0..m-2. */
+    /** m must be even and >= 4: SlideSparse's m = 2N, ladder 0..m-2. */
     bool evenM;
+    /**
+     * Largest m: the N ladder's top rung (m, or m - 2 for SS) and
+     * BlockInfo::n are bytes.
+     */
+    size_t maxM;
     Step1 step1;
     /**
      * Fixed N ladder of the family, ignoring the request's candidates;

@@ -1071,17 +1071,23 @@ usMaskSpace(size_t x, size_t y, size_t)
 
 /**
  * The pattern table, one row per Pattern in enum order. Every family
- * needs its columns to tile by m; `blocks` and `evenM` add to that.
+ * needs its columns to tile by m, with m in [1, maxM]; `blocks` and
+ * `evenM` add to that.
  */
 constexpr PatternSpec kPatterns[] = {
-    {"Dense", false, false, Step1::None, nullptr, noMaskSpace, denseMask},
-    {"US", false, false, Step1::Mask, nullptr, usMaskSpace, usGenerate},
-    {"TS", false, false, Step1::Distance, nullptr, log2MaskSpaceTs, tsMask},
-    {"RS-V", false, false, Step1::Mask, nullptr, log2MaskSpaceRsv, rsvMask},
-    {"RS-H", false, false, Step1::Mask, nullptr, log2MaskSpaceRsh, rshMask},
-    {"TBS", true, false, Step1::Mask, nullptr, log2MaskSpaceTbs,
+    {"Dense", false, false, 255, Step1::None, nullptr, noMaskSpace,
+     denseMask},
+    {"US", false, false, 255, Step1::Mask, nullptr, usMaskSpace,
+     usGenerate},
+    {"TS", false, false, 255, Step1::Distance, nullptr, log2MaskSpaceTs,
+     tsMask},
+    {"RS-V", false, false, 255, Step1::Mask, nullptr, log2MaskSpaceRsv,
+     rsvMask},
+    {"RS-H", false, false, 255, Step1::Mask, nullptr, log2MaskSpaceRsh,
+     rshMask},
+    {"TBS", true, false, 255, Step1::Mask, nullptr, log2MaskSpaceTbs,
      tbsGenerate},
-    {"SS", false, true, Step1::Mask, slideSparseCandidates,
+    {"SS", false, true, 256, Step1::Mask, slideSparseCandidates,
      log2MaskSpaceSs, ssMask},
 };
 static_assert(std::size(kPatterns) == kPatternCount);

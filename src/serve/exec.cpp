@@ -1,6 +1,8 @@
 #include "exec.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <stdexcept>
@@ -34,36 +36,17 @@ tilingError(uint64_t rows, uint64_t cols, uint64_t m)
 std::optional<accel::AccelKind>
 tryParseAccel(const std::string &name)
 {
-    static const std::map<std::string, accel::AccelKind> kinds{
-        {"tc", accel::AccelKind::TC},
-        {"stc", accel::AccelKind::STC},
-        {"vegeta", accel::AccelKind::Vegeta},
-        {"highlight", accel::AccelKind::HighLight},
-        {"rmstc", accel::AccelKind::RmStc},
-        {"sgcn", accel::AccelKind::Sgcn},
-        {"tbstc", accel::AccelKind::TbStc},
-        {"fan", accel::AccelKind::TbStcFan},
-    };
-    const auto it = kinds.find(name);
-    if (it == kinds.end())
-        return std::nullopt;
-    return it->second;
+    for (const accel::AccelSpec &a : accel::accelSpecs()) {
+        if (name == a.wireName)
+            return a.kind;
+    }
+    return std::nullopt;
 }
 
 std::string
 accelWireName(accel::AccelKind kind)
 {
-    switch (kind) {
-      case accel::AccelKind::TC:        return "tc";
-      case accel::AccelKind::STC:       return "stc";
-      case accel::AccelKind::Vegeta:    return "vegeta";
-      case accel::AccelKind::HighLight: return "highlight";
-      case accel::AccelKind::RmStc:     return "rmstc";
-      case accel::AccelKind::Sgcn:      return "sgcn";
-      case accel::AccelKind::TbStc:     return "tbstc";
-      case accel::AccelKind::TbStcFan:  return "fan";
-    }
-    return "tbstc";
+    return accel::accelSpec(kind).wireName;
 }
 
 std::optional<workload::ModelId>
@@ -85,118 +68,123 @@ tryParseModel(const std::string &name)
 std::optional<workload::GemmShape>
 tryParseLayer(const std::string &spec, const std::string &name)
 {
-    uint64_t x = 0;
-    uint64_t y = 0;
-    uint64_t nb = 0;
-    if (std::sscanf(spec.c_str(), "%llux%llux%llu",
-                    reinterpret_cast<unsigned long long *>(&x),
-                    reinterpret_cast<unsigned long long *>(&y),
-                    reinterpret_cast<unsigned long long *>(&nb))
-        != 3)
+    // Exactly three positive decimals joined by 'x': no sign (an
+    // unsigned read of "-8" wraps to 2^64 - 8), no trailing bytes.
+    uint64_t dims[3] = {};
+    const char *p = spec.data();
+    const char *const end = p + spec.size();
+    for (size_t i = 0; i < 3; ++i) {
+        if (i > 0 && (p == end || *p++ != 'x'))
+            return std::nullopt;
+        const auto [next, ec] = std::from_chars(p, end, dims[i]);
+        if (ec != std::errc() || dims[i] == 0)
+            return std::nullopt;
+        p = next;
+    }
+    if (p != end)
         return std::nullopt;
-    if (x == 0 || y == 0 || nb == 0)
-        return std::nullopt;
-    return workload::GemmShape{name, x, y, nb};
+    return workload::GemmShape{name, dims[0], dims[1], dims[2]};
 }
 
 std::optional<std::string>
-runLayerError(const workload::GemmShape &shape)
+runSpecError(const RunSpec &spec)
 {
-    return tilingError(shape.x, shape.y, accel::RunRequest{}.m);
+    if (spec.model.empty() && spec.layer.empty())
+        return "need 'model' or 'layer'";
+    if (!spec.model.empty() && !tryParseModel(spec.model))
+        return "unknown model '" + spec.model + "'";
+    if (!spec.layer.empty()) {
+        const auto shape = tryParseLayer(spec.layer, "cli.layer");
+        if (!shape)
+            return "layer spec must be XxYxNB, got '" + spec.layer + "'";
+        if (const auto err =
+                tilingError(shape->x, shape->y, accel::RunRequest{}.m))
+            return err;
+    }
+    if (!(spec.sparsity >= 0.0 && spec.sparsity < 1.0))
+        return std::string("'sparsity' must be in [0, 1)");
+    if (spec.bw && !(*spec.bw > 0.0 && std::isfinite(*spec.bw)))
+        return std::string("'bw' must be positive and finite");
+    if (!core::isMaskStrategy(spec.strategy))
+        return "unknown mask strategy '" + spec.strategy + "'";
+    return std::nullopt;
 }
 
 std::optional<std::string>
-sparsifyLayerError(const workload::GemmShape &shape, uint64_t m)
+sparsifySpecError(const SparsifySpec &spec)
 {
-    return tilingError(std::min(shape.x, kSparsifyMaxRows), shape.y, m);
+    const auto shape = tryParseLayer(spec.layer, "cli.formats");
+    if (!shape)
+        return "layer spec must be XxYxNB, got '" + spec.layer + "'";
+    if (!(spec.sparsity >= 0.0 && spec.sparsity < 1.0))
+        return std::string("'sparsity' must be in [0, 1)");
+    if (spec.m == 0 || spec.m > 64)
+        return std::string("'m' must be in [1, 64]");
+    if (const auto err = tilingError(std::min(shape->x, kSparsifyMaxRows),
+                                     shape->y, spec.m))
+        return err;
+    if (!core::isMaskStrategy(spec.strategy))
+        return "unknown mask strategy '" + spec.strategy + "'";
+    return std::nullopt;
 }
 
 sim::RunStats
 executeRun(const RunSpec &spec)
 {
-    // The protocol/CLI layers reject unknown strategies up front; this
-    // backstop covers programmatic callers building specs directly.
-    if (!core::isMaskStrategy(spec.strategy))
-        throw std::invalid_argument("unknown mask strategy '"
-                                    + spec.strategy + "'");
-    std::optional<sim::ArchConfig> override;
+    if (const auto err = runSpecError(spec))
+        throw std::invalid_argument(*err);
+    std::optional<sim::ArchConfig> config;
     if (spec.bw) {
-        auto cfg = accel::accelConfig(spec.kind);
-        cfg.dramGbps = *spec.bw;
-        override = cfg;
+        config = accel::accelConfig(spec.kind);
+        config->dramGbps = *spec.bw;
     }
 
     if (!spec.layer.empty()) {
-        const auto shape = tryParseLayer(spec.layer, "cli.layer");
-        if (!shape)
-            throw std::invalid_argument(
-                "layer spec must be XxYxNB, got '" + spec.layer + "'");
         accel::RunRequest req;
-        req.shape = *shape;
+        req.shape = *tryParseLayer(spec.layer, "cli.layer");
         req.sparsity = spec.sparsity;
         req.seed = spec.seed;
         req.int8Weights = spec.int8Weights;
         req.maskStrategy = spec.strategy;
-        req.configOverride = override;
+        req.configOverride = config;
         return accel::runLayer(spec.kind, req);
     }
-    if (spec.model.empty())
-        throw std::invalid_argument("need model or layer");
-    const auto model = tryParseModel(spec.model);
-    if (!model)
-        throw std::invalid_argument("unknown model '" + spec.model + "'");
-    if (spec.full) {
-        // Full inference pass: weight GEMMs + dense attention GEMMs.
-        return accel::runInference(spec.kind, *model, spec.sparsity,
-                                   spec.seq, spec.int8Weights, spec.seed,
-                                   spec.strategy);
-    }
-    if (override) {
-        sim::RunStats total;
-        for (const auto &shape :
-             workload::modelLayers(*model, spec.seq)) {
-            accel::RunRequest req;
-            req.shape = shape;
-            req.sparsity = spec.sparsity;
-            req.seed = spec.seed;
-            req.int8Weights = spec.int8Weights;
-            req.maskStrategy = spec.strategy;
-            req.configOverride = override;
-            total.accumulate(accel::runLayer(spec.kind, req));
-        }
-        return total;
-    }
-    return accel::runModel(spec.kind, *model, spec.sparsity, spec.seq,
-                           spec.int8Weights, spec.seed, spec.strategy);
+    const workload::ModelId model = *tryParseModel(spec.model);
+    // Full inference pass: weight GEMMs + dense attention GEMMs.
+    const auto run = spec.full ? accel::runInference : accel::runModel;
+    return run(spec.kind, model, spec.sparsity, spec.seq,
+               spec.int8Weights, spec.seed, spec.strategy, config);
 }
 
-SparsifyResult
-executeSparsify(const SparsifySpec &spec)
+SparsifiedLayer
+sparsifyLayer(const SparsifySpec &spec)
 {
-    const auto shape = tryParseLayer(spec.layer, "cli.formats");
-    if (!shape)
-        throw std::invalid_argument(
-            "layer spec must be XxYxNB, got '" + spec.layer + "'");
-    if (spec.m == 0 || spec.m > 64)
-        throw std::invalid_argument("block size m out of range");
-
-    const auto w =
-        workload::synthWeights(*shape, spec.seed, kSparsifyMaxRows);
-    const auto scores = core::magnitudeScores(w);
+    if (const auto err = sparsifySpecError(spec))
+        throw std::invalid_argument(*err);
+    core::Matrix w = workload::synthWeights(
+        *tryParseLayer(spec.layer, "cli.formats"), spec.seed,
+        kSparsifyMaxRows);
     core::MaskRequest req;
     req.pattern = core::Pattern::TBS;
     req.strategy = spec.strategy;
     req.sparsity = spec.sparsity;
     req.m = static_cast<size_t>(spec.m);
-    const auto tbs = core::tryMakeMask(scores, req);
+    auto tbs = core::tryMakeMask(core::magnitudeScores(w), req);
     if (!tbs)
         throw std::invalid_argument(tbs.error().message);
-    const auto bytes = format::serializeDdc(w, tbs->mask, tbs->meta);
+    return {std::move(w), std::move(*tbs)};
+}
 
+SparsifyResult
+executeSparsify(const SparsifySpec &spec)
+{
+    const SparsifiedLayer layer = sparsifyLayer(spec);
+    const auto bytes = format::serializeDdc(layer.weights, layer.tbs.mask,
+                                            layer.tbs.meta);
     SparsifyResult out;
-    out.rows = w.rows();
-    out.cols = w.cols();
-    out.nnz = tbs->mask.nnz();
+    out.rows = layer.weights.rows();
+    out.cols = layer.weights.cols();
+    out.nnz = layer.tbs.mask.nnz();
     out.ddcBytes = bytes.size();
     out.ddcCrc32 = util::crc32(bytes);
     return out;

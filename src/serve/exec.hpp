@@ -23,6 +23,7 @@
 #include <string>
 
 #include "accel/accelerator.hpp"
+#include "core/mask_search.hpp"
 #include "sim/pipeline.hpp"
 #include "workload/models.hpp"
 
@@ -83,33 +84,48 @@ std::optional<workload::GemmShape>
 tryParseLayer(const std::string &spec, const std::string &name);
 
 /**
- * Why `run` cannot simulate @p shape: every accelerator cuts the
- * weights into 8x8 blocks, so X and Y must be multiples of 8. nullopt
- * when it can. Request parsing checks layers with it, so an untileable
- * layer is a bad request, not an error deep in execution.
+ * Why @p spec is not a valid run request, or nullopt when it is: the
+ * one rule set of `tbstc run` (exit 2), the daemon (bad_request) and
+ * executeRun() (throws). A model that parses or a layer that parses
+ * and tiles into the accelerators' 8x8 blocks; sparsity in [0, 1);
+ * bw > 0 when set; a known mask strategy.
  */
-std::optional<std::string> runLayerError(const workload::GemmShape &shape);
+std::optional<std::string> runSpecError(const RunSpec &spec);
 
 /**
- * Why `sparsify` cannot cut @p shape's (row-capped) weights into
- * @p m x @p m blocks; nullopt when it can.
+ * Why @p spec is not a valid sparsify request, or nullopt when it is
+ * (`tbstc formats`, the daemon and executeSparsify() alike): a layer
+ * whose row-capped weights tile into m x m blocks; sparsity in
+ * [0, 1); m in [1, 64]; a known mask strategy.
  */
-std::optional<std::string>
-sparsifyLayerError(const workload::GemmShape &shape, uint64_t m);
+std::optional<std::string> sparsifySpecError(const SparsifySpec &spec);
 
 /**
  * Execute a run request: one layer, a model's weight GEMMs, or a full
- * inference pass, exactly as `tbstc run` would. Throws on specs that
- * fail validation deeper in the stack (the daemon maps exceptions to
- * error responses).
+ * inference pass, exactly as `tbstc run` would; bw replaces the
+ * accelerator's off-chip bandwidth in each. Throws
+ * std::invalid_argument on a spec runSpecError() rejects.
  */
 sim::RunStats executeRun(const RunSpec &spec);
 
+/** A sparsify request's weights and their TBS mask. */
+struct SparsifiedLayer
+{
+    core::Matrix weights; ///< Synthesized, rows capped at 4096.
+    core::MaskOutput tbs;
+};
+
 /**
- * Execute a sparsify request: synthesize the layer's weights, run
- * Algorithm 1 at the requested sparsity, serialize the DDC2 stream,
- * and summarize it. Matches `tbstc formats --dump` byte-for-byte
- * (same row cap), so ddcCrc32 equals the CRC of a dumped file.
+ * Synthesize @p spec's weights and run Algorithm 1 on them: the front
+ * half `tbstc formats` and executeSparsify() share. Throws
+ * std::invalid_argument on a spec sparsifySpecError() rejects.
+ */
+SparsifiedLayer sparsifyLayer(const SparsifySpec &spec);
+
+/**
+ * Execute a sparsify request: sparsifyLayer(), then serialize the DDC2
+ * stream and summarize it. ddcCrc32 equals the CRC of the file
+ * `tbstc formats --dump` writes for the same spec.
  */
 SparsifyResult executeSparsify(const SparsifySpec &spec);
 

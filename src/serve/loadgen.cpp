@@ -163,9 +163,7 @@ buildMix(size_t total, uint64_t seed)
 {
     static const char *kLayers[] = {"256x256x1", "512x512x1",
                                     "384x256x2"};
-    static const accel::AccelKind kAccels[] = {
-        accel::AccelKind::TbStc, accel::AccelKind::STC,
-        accel::AccelKind::TC, accel::AccelKind::TbStcFan};
+    static const char *kAccels[] = {"tbstc", "stc", "tc", "fan"};
     static const double kSparsities[] = {0.5, 0.75};
 
     util::Rng rng(seed);
@@ -185,7 +183,7 @@ buildMix(size_t total, uint64_t seed)
             req.sparsify.m = 8;
         } else {
             req.op = Op::Run;
-            req.run.kind = kAccels[rng.below(4)];
+            req.run.kind = *tryParseAccel(kAccels[rng.below(4)]);
             req.run.layer = kLayers[rng.below(3)];
             req.run.sparsity = kSparsities[rng.below(2)];
             req.run.seed = 42;

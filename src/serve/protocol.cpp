@@ -97,71 +97,38 @@ parseRequest(std::string_view json)
         const std::string &accel = v.get("accel").asString();
         const auto kind = tryParseAccel(accel);
         if (!kind)
-            return fail("unknown accelerator '" + accel
-                                    + "'");
+            return fail("unknown accelerator '" + accel + "'");
         r.kind = *kind;
         r.model = v.get("model").asString();
         r.layer = v.get("layer").asString();
-        if (r.model.empty() && r.layer.empty())
-            return fail("need 'model' or 'layer'");
-        if (!r.model.empty() && !tryParseModel(r.model))
-            return fail("unknown model '" + r.model + "'");
-        if (!r.layer.empty()) {
-            const auto shape = tryParseLayer(r.layer, "cli.layer");
-            if (!shape)
-                return fail("layer spec must be XxYxNB, got '"
-                                        + r.layer + "'");
-            if (const auto err = runLayerError(*shape))
-                return fail(*err);
-        }
         r.sparsity = v.get("sparsity").asNumber(r.sparsity);
-        if (!(r.sparsity >= 0.0 && r.sparsity < 1.0))
-            return fail("'sparsity' must be in [0, 1)");
         if (const auto seq = u64Field(v, "seq"))
             r.seq = *seq;
         if (const auto seed = u64Field(v, "seed"))
             r.seed = *seed;
         r.int8Weights = v.get("int8").asBool(false);
         r.full = v.get("full").asBool(false);
-        if (v.has("bw")) {
-            const double bw = v.get("bw").asNumber(-1.0);
-            if (bw <= 0.0)
-                return fail("'bw' must be positive");
-            r.bw = bw;
-        }
-        if (v.has("strategy")) {
-            const std::string &strategy = v.get("strategy").asString();
-            if (!core::isMaskStrategy(strategy))
-                return fail("unknown mask strategy '" + strategy + "'");
-            r.strategy = core::canonicalMaskStrategy(strategy);
-        }
+        if (v.has("bw"))
+            r.bw = v.get("bw").asNumber(-1.0);
+        r.strategy = v.get("strategy").asString();
+        if (const auto err = runSpecError(r))
+            return fail(*err);
+        r.strategy = core::canonicalMaskStrategy(r.strategy);
         return req;
     }
     if (op == "sparsify") {
         req.op = Op::Sparsify;
         SparsifySpec &s = req.sparsify;
         s.layer = v.get("layer").asString();
-        const auto shape = tryParseLayer(s.layer, "cli.formats");
-        if (!shape)
-            return fail("layer spec must be XxYxNB, got '"
-                                    + s.layer + "'");
         s.sparsity = v.get("sparsity").asNumber(s.sparsity);
-        if (!(s.sparsity >= 0.0 && s.sparsity < 1.0))
-            return fail("'sparsity' must be in [0, 1)");
         if (const auto seed = u64Field(v, "seed"))
             s.seed = *seed;
         if (const auto m = u64Field(v, "m"))
             s.m = *m;
-        if (s.m == 0 || s.m > 64)
-            return fail("'m' must be in [1, 64]");
-        if (const auto err = sparsifyLayerError(*shape, s.m))
+        s.strategy = v.get("strategy").asString();
+        if (const auto err = sparsifySpecError(s))
             return fail(*err);
-        if (v.has("strategy")) {
-            const std::string &strategy = v.get("strategy").asString();
-            if (!core::isMaskStrategy(strategy))
-                return fail("unknown mask strategy '" + strategy + "'");
-            s.strategy = core::canonicalMaskStrategy(strategy);
-        }
+        s.strategy = core::canonicalMaskStrategy(s.strategy);
         return req;
     }
     if (op.empty())

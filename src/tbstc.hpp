@@ -7,11 +7,11 @@
  * header rather than reaching into subdirectory headers, whose
  * internals may be rearranged between releases.
  *
- * # API tiers
+ * # Fallible operations
  *
- * The **primary** API for fallible operations is the Result-returning
- * `try*` surface — it never throws or aborts on bad input and carries
- * a structured error describing exactly what went wrong:
+ * Fallible operations return a util::Result — they never throw or
+ * abort on bad input and carry a structured error describing exactly
+ * what went wrong:
  *
  *   - core::tryMakeMask()          the one way to make a mask: every
  *                                  family, one row each of the pattern
@@ -21,15 +21,9 @@
  *   - format::ddcLayout()          locate sections in a DDC stream
  *   - util::FlagSet::parse()       typed command-line parsing
  *
- * The abort-wrapping variants (format::deserializeDdc(),
- * format::convertToComputation()) are **legacy** conveniences for
- * callers that treat bad input as fatal; they throw util::FatalError /
- * util::PanicError on the same inputs the try* functions report
- * structurally. New code should prefer the try* surface.
- *
  * Infallible modelling entry points (accel::runLayer(),
  * sim::simulateLayer(), core::usMask(), ...) validate their
- * configuration with util::ensure() and are part of the primary API.
+ * configuration with util::ensure().
  * core::patternMask() is tryMakeMask() for callers that treat a bad
  * request as fatal.
  *

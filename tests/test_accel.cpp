@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "accel/accelerator.hpp"
+#include "serve/exec.hpp"
 
 namespace {
 
@@ -34,6 +38,26 @@ TEST(Accel, NamesAndMappings)
     EXPECT_EQ(accelFormat(AccelKind::TbStc), StorageFormat::DDC);
     EXPECT_TRUE(supportsIndependentDim(AccelKind::TbStc));
     EXPECT_FALSE(supportsIndependentDim(AccelKind::Vegeta));
+}
+
+TEST(Accel, TableRowsRoundTripTheirNames)
+{
+    // One row per kind, in enum order; every wire name parses back to
+    // its kind, and no two rows share a wire or display name.
+    std::set<std::string> wire;
+    std::set<std::string> display;
+    size_t i = 0;
+    for (const AccelSpec &a : accelSpecs()) {
+        EXPECT_EQ(static_cast<size_t>(a.kind), i++);
+        EXPECT_EQ(&accelSpec(a.kind), &a);
+        EXPECT_EQ(tbstc::serve::tryParseAccel(
+                      tbstc::serve::accelWireName(a.kind)),
+                  a.kind);
+        EXPECT_TRUE(wire.insert(a.wireName).second) << a.wireName;
+        EXPECT_TRUE(display.insert(accelName(a.kind)).second) << a.name;
+    }
+    EXPECT_EQ(i, size_t(AccelKind::TbStcFan) + 1);
+    EXPECT_FALSE(tbstc::serve::tryParseAccel("TB-STC"));
 }
 
 TEST(Accel, SparseBeatsDenseAtHighSparsity)

@@ -9,7 +9,6 @@
 #include <map>
 
 #include "format/codec.hpp"
-#include "util/logging.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -33,7 +32,9 @@ TEST(Codec, PreservesEveryElement)
 {
     // Paper Fig. 9(b)'s block: 4 columns, each with 2 kept elements.
     const auto storage = columnMajorBlock({{0, 2}, {1, 2}, {0, 3}, {1, 3}});
-    const CodecOutput out = convertToComputation(storage, CodecConfig{4, 2, 2});
+    const auto decoded = tryDecodeBlock(storage, CodecConfig{4, 2, 2});
+    ASSERT_TRUE(decoded.ok());
+    const CodecOutput &out = *decoded;
     ASSERT_EQ(out.values.size(), storage.size());
 
     std::multiset<float> in_vals;
@@ -61,7 +62,9 @@ TEST(Codec, GroupsShareRowInSteadyState)
     }
     const auto storage = columnMajorBlock(cols);
     const CodecConfig cfg{8, 2, 2};
-    const CodecOutput out = convertToComputation(storage, cfg);
+    const auto decoded = tryDecodeBlock(storage, cfg);
+    ASSERT_TRUE(decoded.ok());
+    const CodecOutput &out = *decoded;
     ASSERT_EQ(out.values.size(), 32u);
 
     // All but the drain tail must be same-row pairs; the tail may mix.
@@ -89,36 +92,38 @@ TEST(Codec, CycleCostNearHalfNnz)
             nnz += n;
         }
         const auto storage = columnMajorBlock(cols);
-        const CodecOutput out =
-            convertToComputation(storage, CodecConfig{8, 2, 2});
-        EXPECT_GE(out.cycles, (nnz + 1) / 2);
-        EXPECT_LE(out.cycles, nnz / 2 + 10);
+        const auto out = tryDecodeBlock(storage, CodecConfig{8, 2, 2});
+        ASSERT_TRUE(out.ok());
+        EXPECT_GE(out->cycles, (nnz + 1) / 2);
+        EXPECT_LE(out->cycles, nnz / 2 + 10);
     }
 }
 
 TEST(Codec, EmptyInputZeroCycles)
 {
-    const CodecOutput out = convertToComputation({}, CodecConfig{8, 2, 2});
-    EXPECT_EQ(out.cycles, 0u);
-    EXPECT_TRUE(out.values.empty());
+    const auto out = tryDecodeBlock({}, CodecConfig{8, 2, 2});
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(out->cycles, 0u);
+    EXPECT_TRUE(out->values.empty());
 }
 
 TEST(Codec, SingleElementDrains)
 {
     const std::vector<StorageElem> storage{{42.0f, 3, 0}};
-    const CodecOutput out =
-        convertToComputation(storage, CodecConfig{8, 2, 2});
-    ASSERT_EQ(out.values.size(), 1u);
-    EXPECT_EQ(out.values[0], 42.0f);
-    EXPECT_EQ(out.rids[0], 3);
-    EXPECT_GE(out.cycles, 1u);
+    const auto out = tryDecodeBlock(storage, CodecConfig{8, 2, 2});
+    ASSERT_TRUE(out.ok());
+    ASSERT_EQ(out->values.size(), 1u);
+    EXPECT_EQ(out->values[0], 42.0f);
+    EXPECT_EQ(out->rids[0], 3);
+    EXPECT_GE(out->cycles, 1u);
 }
 
 TEST(Codec, RejectsOutOfRangeRid)
 {
     const std::vector<StorageElem> storage{{1.0f, 9, 0}};
-    EXPECT_THROW(convertToComputation(storage, CodecConfig{8, 2, 2}),
-                 tbstc::util::PanicError);
+    const auto out = tryDecodeBlock(storage, CodecConfig{8, 2, 2});
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.error().kind, DecodeErrorKind::InfoFieldRange);
 }
 
 TEST(Codec, TryDecodeBlockReportsStructuredErrors)
@@ -134,19 +139,6 @@ TEST(Codec, TryDecodeBlockReportsStructuredErrors)
     const auto cfg = tryDecodeBlock({}, CodecConfig{0, 2, 2});
     ASSERT_FALSE(cfg.ok());
     EXPECT_EQ(cfg.error().kind, DecodeErrorKind::GeometryOverflow);
-}
-
-TEST(Codec, TryDecodeBlockMatchesThrowingVariant)
-{
-    const auto storage = columnMajorBlock({{0, 2}, {1, 2}, {0, 3}, {1, 3}});
-    const CodecConfig cfg{4, 2, 2};
-    const auto tried = tryDecodeBlock(storage, cfg);
-    ASSERT_TRUE(tried.ok());
-    const CodecOutput direct = convertToComputation(storage, cfg);
-    EXPECT_EQ(tried->values, direct.values);
-    EXPECT_EQ(tried->rids, direct.rids);
-    EXPECT_EQ(tried->iids, direct.iids);
-    EXPECT_EQ(tried->cycles, direct.cycles);
 }
 
 TEST(Codec, PassthroughCycles)
@@ -165,9 +157,10 @@ TEST(Codec, WiderLanesCutCycles)
     for (auto &col : cols)
         col = {0, 1, 2, 3};
     const auto storage = columnMajorBlock(cols);
-    const auto narrow = convertToComputation(storage, CodecConfig{8, 2, 2});
-    const auto wide = convertToComputation(storage, CodecConfig{8, 4, 4});
-    EXPECT_LT(wide.cycles, narrow.cycles);
+    const auto narrow = tryDecodeBlock(storage, CodecConfig{8, 2, 2});
+    const auto wide = tryDecodeBlock(storage, CodecConfig{8, 4, 4});
+    ASSERT_TRUE(narrow.ok() && wide.ok());
+    EXPECT_LT(wide->cycles, narrow->cycles);
 }
 
 } // namespace

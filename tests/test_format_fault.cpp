@@ -68,7 +68,10 @@ struct Stream
         tbs =
             makeMask(core::magnitudeScores(w), core::Pattern::TBS, l.sparsity);
         bytes = format::serializeDdc(w, tbs.mask, tbs.meta);
-        parsed = format::deserializeDdc(bytes);
+        auto got = format::tryDeserializeDdc(bytes);
+        if (!got.ok())
+            util::panic("fixture stream does not decode");
+        parsed = std::move(*got);
         auto lay = format::ddcLayout(bytes);
         if (!lay.ok())
             util::panic("fixture stream has no layout");
@@ -405,7 +408,6 @@ TEST(FaultGolden, V1StreamRejectedWithVersionError)
     const auto r = format::tryDeserializeDdc(v1);
     ASSERT_FALSE(r.ok());
     EXPECT_NE(r.error().message.find("version 1"), std::string::npos);
-    EXPECT_THROW(format::deserializeDdc(v1), util::FatalError);
 }
 
 TEST(FaultGolden, EmptyAndTinyStreams)

@@ -51,8 +51,9 @@ TEST(SerializeDdc, RoundTripMatrix)
 {
     Fixture f(1);
     const auto bytes = format::serializeDdc(f.w, f.tbs.mask, f.tbs.meta);
-    const auto parsed = format::deserializeDdc(bytes);
-    EXPECT_EQ(parsed.matrix,
+    const auto parsed = format::tryDeserializeDdc(bytes);
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(parsed->matrix,
               fp16Rounded(core::applyMask(f.w, f.tbs.mask)));
 }
 
@@ -60,12 +61,13 @@ TEST(SerializeDdc, RoundTripMeta)
 {
     Fixture f(2);
     const auto bytes = format::serializeDdc(f.w, f.tbs.mask, f.tbs.meta);
-    const auto parsed = format::deserializeDdc(bytes);
-    ASSERT_EQ(parsed.meta.blocks.size(), f.tbs.meta.blocks.size());
-    EXPECT_EQ(parsed.meta.m, f.tbs.meta.m);
-    for (size_t b = 0; b < parsed.meta.blocks.size(); ++b) {
-        EXPECT_EQ(parsed.meta.blocks[b].n, f.tbs.meta.blocks[b].n);
-        EXPECT_EQ(parsed.meta.blocks[b].dim, f.tbs.meta.blocks[b].dim);
+    const auto parsed = format::tryDeserializeDdc(bytes);
+    ASSERT_TRUE(parsed.ok());
+    ASSERT_EQ(parsed->meta.blocks.size(), f.tbs.meta.blocks.size());
+    EXPECT_EQ(parsed->meta.m, f.tbs.meta.m);
+    for (size_t b = 0; b < parsed->meta.blocks.size(); ++b) {
+        EXPECT_EQ(parsed->meta.blocks[b].n, f.tbs.meta.blocks[b].n);
+        EXPECT_EQ(parsed->meta.blocks[b].dim, f.tbs.meta.blocks[b].dim);
     }
 }
 
@@ -74,8 +76,9 @@ TEST(SerializeDdc, RoundTripMask)
     // Synthetic weights are never exactly zero, so the mask survives.
     Fixture f(3, 64, 64, 0.75);
     const auto bytes = format::serializeDdc(f.w, f.tbs.mask, f.tbs.meta);
-    const auto parsed = format::deserializeDdc(bytes);
-    EXPECT_EQ(parsed.mask, f.tbs.mask);
+    const auto parsed = format::tryDeserializeDdc(bytes);
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(parsed->mask, f.tbs.mask);
 }
 
 TEST(SerializeDdc, LargeMatrixCrossesGroups)
@@ -83,10 +86,11 @@ TEST(SerializeDdc, LargeMatrixCrossesGroups)
     // 1024 blocks > the 63-block offset group: exercises group bases.
     Fixture f(4, 256, 256, 0.625);
     const auto bytes = format::serializeDdc(f.w, f.tbs.mask, f.tbs.meta);
-    const auto parsed = format::deserializeDdc(bytes);
-    EXPECT_EQ(parsed.matrix,
+    const auto parsed = format::tryDeserializeDdc(bytes);
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(parsed->matrix,
               fp16Rounded(core::applyMask(f.w, f.tbs.mask)));
-    EXPECT_EQ(parsed.mask, f.tbs.mask);
+    EXPECT_EQ(parsed->mask, f.tbs.mask);
 }
 
 TEST(SerializeDdc, ByteSizeTracksEncodingModel)
@@ -144,15 +148,24 @@ TEST(DeserializeDdc, RejectsCorruption)
 {
     Fixture f(7);
     auto bytes = format::serializeDdc(f.w, f.tbs.mask, f.tbs.meta);
+    const auto kindOf = [](const std::vector<uint8_t> &b) {
+        const auto parsed = format::tryDeserializeDdc(b);
+        EXPECT_FALSE(parsed.ok());
+        return parsed.ok() ? std::string("ok")
+                           : format::decodeErrorName(parsed.error().kind);
+    };
+    const auto name = [](format::DecodeErrorKind k) {
+        return std::string(format::decodeErrorName(k));
+    };
 
     // Bad magic.
     auto bad_magic = bytes;
     bad_magic[0] ^= 0xff;
-    EXPECT_THROW(format::deserializeDdc(bad_magic), util::FatalError);
+    EXPECT_EQ(kindOf(bad_magic), name(format::DecodeErrorKind::BadMagic));
 
     // Truncation.
     std::vector<uint8_t> truncated(bytes.begin(), bytes.begin() + 16);
-    EXPECT_THROW(format::deserializeDdc(truncated), util::FatalError);
+    EXPECT_EQ(kindOf(truncated), name(format::DecodeErrorKind::Truncated));
 
     // Corrupt an info-table offset: the section CRC catches the raw
     // flip; with the CRC fixed up, the offset chain check trips.
@@ -160,9 +173,11 @@ TEST(DeserializeDdc, RejectsCorruption)
     ASSERT_TRUE(layout.ok());
     auto bad_info = bytes;
     bad_info[layout->infoAt + 2] ^= 0x01; // Second entry's offset bit 0.
-    EXPECT_THROW(format::deserializeDdc(bad_info), util::FatalError);
+    EXPECT_EQ(kindOf(bad_info),
+              name(format::DecodeErrorKind::ChecksumMismatch));
     ASSERT_TRUE(format::ddcFixupCrcs(bad_info));
-    EXPECT_THROW(format::deserializeDdc(bad_info), util::FatalError);
+    EXPECT_EQ(kindOf(bad_info),
+              name(format::DecodeErrorKind::OffsetInconsistent));
 }
 
 TEST(DeserializeDdc, TryVariantNeverThrows)
@@ -190,10 +205,11 @@ TEST(SerializeDdc, NegativeZeroSurvives)
     w.at(0, 0) = -0.0f;
     const auto res =
         makeMask(core::magnitudeScores(w), core::Pattern::TBS, 0.0);
-    const auto parsed = format::deserializeDdc(
+    const auto parsed = format::tryDeserializeDdc(
         format::serializeDdc(w, res.mask, res.meta));
-    EXPECT_EQ(parsed.mask.at(0, 0), 1);
-    EXPECT_TRUE(std::signbit(parsed.matrix.at(0, 0)));
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(parsed->mask.at(0, 0), 1);
+    EXPECT_TRUE(std::signbit(parsed->matrix.at(0, 0)));
 }
 
 } // namespace

@@ -88,8 +88,9 @@ TEST(Integration, CodecOutputComputesCorrectBlockProduct)
                                    static_cast<uint8_t>(r),
                                    static_cast<uint8_t>(c)});
 
-    const format::CodecOutput out =
-        format::convertToComputation(storage, {m, 2, 2});
+    const auto decoded = format::tryDecodeBlock(storage, {m, 2, 2});
+    ASSERT_TRUE(decoded.ok());
+    const format::CodecOutput &out = *decoded;
 
     // Reassemble a matrix from the converted stream and compare.
     Matrix rebuilt(m, m);

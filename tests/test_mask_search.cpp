@@ -202,6 +202,18 @@ TEST(MaskSearch, ValidatesRequestFields)
     req.m = 258;
     EXPECT_EQ(tryMakeMask(wide, req).error().kind,
               MaskErrorKind::BadBlockSize);
+    // At m = 256 the other families' ladder top rung N = m (and TBS's
+    // BlockInfo::n) no longer fits a byte; SS's 0..254 still does.
+    const Matrix square = randomScores(256, 256, 50);
+    req.m = 256;
+    EXPECT_TRUE(tryMakeMask(square, req).ok());
+    for (const Pattern p : {Pattern::Dense, Pattern::US, Pattern::TS,
+                            Pattern::RSV, Pattern::RSH, Pattern::TBS}) {
+        req.pattern = p;
+        EXPECT_EQ(tryMakeMask(square, req).error().kind,
+                  MaskErrorKind::BadBlockSize)
+            << patternName(p);
+    }
 
     req = {};
     req.candidates = {3, 9}; // 9 > m.

@@ -13,10 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,6 +42,97 @@ namespace {
 
 using namespace tbstc;
 using namespace tbstc::serve;
+
+// ---------------------------------------------------------------- exec
+
+/** Every double of @p s, bit for bit. */
+std::vector<uint64_t>
+statBits(const sim::RunStats &s)
+{
+    std::vector<uint64_t> bits;
+    for (const double d :
+         {s.cycles, s.seconds, s.edp, s.energy.computeJ, s.energy.sramJ,
+          s.energy.dramJ, s.energy.codecJ, s.energy.mbdJ,
+          s.energy.staticJ, s.breakdown.compute, s.breakdown.memory,
+          s.breakdown.codec, s.breakdown.codecExposed,
+          s.breakdown.startup, s.breakdown.total, s.bwUtilisation,
+          s.computeUtilisation, s.schedUtilisation})
+        bits.push_back(std::bit_cast<uint64_t>(d));
+    return bits;
+}
+
+TEST(ServeExec, ModelRunAtDefaultBandwidthMatchesNoOverride)
+{
+    // bw takes the same grouped model walk as every other model run,
+    // so naming an accelerator's own bandwidth changes nothing.
+    for (const accel::AccelSpec &a : accel::accelSpecs()) {
+        RunSpec spec;
+        spec.kind = a.kind;
+        spec.model = "bert";
+        const auto plain = statBits(executeRun(spec));
+        spec.bw = a.config.dramGbps;
+        EXPECT_EQ(statBits(executeRun(spec)), plain) << a.name;
+    }
+}
+
+TEST(ServeExec, FullInferenceHonoursBandwidth)
+{
+    RunSpec spec;
+    spec.model = "bert";
+    spec.full = true;
+    const sim::RunStats plain = executeRun(spec);
+    spec.bw = 8.0;
+    EXPECT_GT(executeRun(spec).cycles, plain.cycles);
+}
+
+TEST(ServeExec, OneValidatorForCliDaemonAndExecution)
+{
+    // Each bad run spec is rejected by runSpecError, by executeRun
+    // (throw) and by the daemon's parser (bad_request) alike.
+    const auto base = [] {
+        RunSpec spec;
+        spec.layer = "512x512x8";
+        return spec;
+    };
+    std::vector<RunSpec> bad(8, base());
+    bad[0].bw = 0.0;
+    bad[1].bw = -5.0;
+    bad[2].sparsity = 1.5;
+    bad[3].strategy = "anneal";
+    bad[4].layer = "100x100x1";
+    bad[5].layer.clear();
+    bad[5].model = "gpt5";
+    bad[6].layer = "-8x8x1"; // Not 2^64 - 8 rows.
+    bad[7].layer = "8x8x1junk";
+    EXPECT_FALSE(runSpecError(base()));
+    for (const RunSpec &spec : bad) {
+        const auto err = runSpecError(spec);
+        ASSERT_TRUE(err);
+        EXPECT_THROW(executeRun(spec), std::invalid_argument) << *err;
+        Request req;
+        req.op = Op::Run;
+        req.run = spec;
+        EXPECT_FALSE(parseRequest(serializeRequest(req)).ok()) << *err;
+    }
+
+    std::vector<SparsifySpec> bad_sp(5);
+    bad_sp[0].sparsity = 1.5;
+    bad_sp[1].m = 0;
+    bad_sp[2].m = 65;
+    bad_sp[3].layer = "100x100x1";
+    bad_sp[4].strategy = "anneal";
+    EXPECT_FALSE(sparsifySpecError(SparsifySpec{}));
+    for (const SparsifySpec &spec : bad_sp) {
+        const auto err = sparsifySpecError(spec);
+        ASSERT_TRUE(err);
+        EXPECT_THROW(executeSparsify(spec), std::invalid_argument)
+            << *err;
+        Request req;
+        req.op = Op::Sparsify;
+        req.sparsify = spec;
+        EXPECT_FALSE(parseRequest(serializeRequest(req)).ok()) << *err;
+    }
+}
 
 // ---------------------------------------------------------------- jsonv
 

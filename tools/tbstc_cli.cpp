@@ -47,10 +47,7 @@
 #include <vector>
 
 #include "accel/accelerator.hpp"
-#include "core/mask_search.hpp"
-#include "core/prune.hpp"
 #include "kernels/kernels.hpp"
-#include "core/sparsify.hpp"
 #include "format/encoding.hpp"
 #include "format/serialize.hpp"
 #include "obs/obs.hpp"
@@ -65,7 +62,6 @@
 #include "util/flags.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
-#include "workload/synth.hpp"
 
 using namespace tbstc;
 
@@ -79,7 +75,7 @@ fail(const std::string &msg)
 }
 
 // Name parsing lives in serve/exec (shared with the daemon); the CLI
-// wrappers keep the historical exit-2 behavior on bad input.
+// wrapper keeps the historical exit-2 behavior on bad input.
 accel::AccelKind
 parseAccel(const std::string &name)
 {
@@ -87,15 +83,6 @@ parseAccel(const std::string &name)
     if (!kind)
         fail("unknown accelerator '" + name + "'");
     return *kind;
-}
-
-workload::GemmShape
-parseLayer(const std::string &spec)
-{
-    const auto shape = serve::tryParseLayer(spec, "cli.layer");
-    if (!shape)
-        fail("layer spec must be XxYxNB, got '" + spec + "'");
-    return *shape;
 }
 
 /**
@@ -243,8 +230,9 @@ printStats(const std::string &label, const sim::RunStats &s, bool csv)
     std::fputs(serve::formatStats(label, s, csv).c_str(), stdout);
 }
 
-sim::RunStats
-runOne(accel::AccelKind kind, const SimOpts &opts, bool bw_set)
+/** The run request @p opts describe on @p kind; exits 2 when invalid. */
+serve::RunSpec
+runSpec(accel::AccelKind kind, const SimOpts &opts, bool bw_set)
 {
     serve::RunSpec spec;
     spec.kind = kind;
@@ -258,19 +246,24 @@ runOne(accel::AccelKind kind, const SimOpts &opts, bool bw_set)
     spec.strategy = opts.maskStrategy;
     if (bw_set)
         spec.bw = opts.bw;
-    // Validate names here so bad input keeps its exit-2 diagnostic
-    // instead of surfacing as a caught exception (exit 1).
-    if (!core::isMaskStrategy(spec.strategy))
-        fail("unknown mask strategy '" + spec.strategy + "'");
-    if (spec.layer.empty() && spec.model.empty())
-        fail("need --model or --layer");
-    if (!spec.model.empty() && !serve::tryParseModel(spec.model))
-        fail("unknown model '" + spec.model + "'");
-    if (!spec.layer.empty()) {
-        if (const auto err = serve::runLayerError(parseLayer(spec.layer)))
-            fail(*err);
+    // The daemon's rules, checked here so bad input keeps its exit-2
+    // diagnostic instead of surfacing as a caught exception (exit 1).
+    if (const auto err = serve::runSpecError(spec))
+        fail(*err);
+    return spec;
+}
+
+/** The accelerators' wire names, space-separated, in table order. */
+std::string
+accelNames()
+{
+    std::string names;
+    for (const accel::AccelSpec &a : accel::accelSpecs()) {
+        if (!names.empty())
+            names += ' ';
+        names += a.wireName;
     }
-    return serve::executeRun(spec);
+    return names;
 }
 
 util::FlagSet
@@ -278,9 +271,7 @@ runFlags(SimOpts &opts, std::string &accel)
 {
     util::FlagSet flags(
         "run", "Simulate one model or layer on one accelerator.");
-    flags.option("accel", &accel, "K",
-                 "accelerator: tc stc vegeta highlight rmstc sgcn "
-                 "tbstc fan",
+    flags.option("accel", &accel, "K", "accelerator: " + accelNames(),
                  /*required=*/true);
     opts.declare(flags);
     return flags;
@@ -297,10 +288,10 @@ cmdRun(int argc, char **argv)
     opts.enableTelemetry();
 
     const auto kind = parseAccel(accel);
+    const serve::RunSpec spec = runSpec(kind, opts, flags.seen("bw"));
     if (opts.csv)
         std::fputs(serve::statsCsvHeader().c_str(), stdout);
-    printStats(accel::accelName(kind),
-               runOne(kind, opts, flags.seen("bw")), opts.csv);
+    printStats(accel::accelName(kind), serve::executeRun(spec), opts.csv);
     return opts.writeTelemetry();
 }
 
@@ -322,65 +313,49 @@ cmdCompare(int argc, char **argv)
         return rc;
     opts.enableTelemetry();
 
+    std::vector<serve::RunSpec> specs;
+    for (const accel::AccelSpec &a : accel::accelSpecs()) {
+        if (a.compared)
+            specs.push_back(runSpec(a.kind, opts, flags.seen("bw")));
+    }
     if (opts.csv)
         std::fputs(serve::statsCsvHeader().c_str(), stdout);
-    const std::vector<accel::AccelKind> kinds{
-        accel::AccelKind::TC,        accel::AccelKind::STC,
-        accel::AccelKind::Vegeta,    accel::AccelKind::HighLight,
-        accel::AccelKind::RmStc,     accel::AccelKind::Sgcn,
-        accel::AccelKind::TbStc};
     // One independent simulation per accelerator: fan out, print in
-    // the fixed order.
-    const bool bw_set = flags.seen("bw");
+    // table order.
     const auto stats = util::parallelMap<sim::RunStats>(
-        kinds.size(),
-        [&](size_t i) { return runOne(kinds[i], opts, bw_set); });
-    for (size_t i = 0; i < kinds.size(); ++i)
-        printStats(accel::accelName(kinds[i]), stats[i], opts.csv);
+        specs.size(), [&](size_t i) { return serve::executeRun(specs[i]); });
+    for (size_t i = 0; i < specs.size(); ++i)
+        printStats(accel::accelName(specs[i].kind), stats[i], opts.csv);
     return opts.writeTelemetry();
 }
 
 int
 cmdFormats(int argc, char **argv)
 {
-    std::string layer;
-    double sparsity = 0.75;
-    uint64_t seed = 42;
+    serve::SparsifySpec spec;
     std::string dump;
-    std::string strategy;
     util::FlagSet flags(
         "formats",
         "Storage-format study: bytes, redundancy, bandwidth.");
     flags
-        .option("layer", &layer, "XxYxNB",
+        .option("layer", &spec.layer, "XxYxNB",
                 "weight-matrix shape (default 512x512x1)")
-        .option("sparsity", &sparsity, "S",
+        .option("sparsity", &spec.sparsity, "S",
                 "weight sparsity degree (default 0.75)")
-        .option("seed", &seed, "N", "weight-synthesis seed (default 42)")
-        .option("mask-strategy", &strategy, "NAME",
+        .option("seed", &spec.seed, "N",
+                "weight-synthesis seed (default 42)")
+        .option("mask-strategy", &spec.strategy, "NAME",
                 "TBS mask-search strategy: greedy optimal "
                 "(default greedy)")
         .option("dump", &dump, "FILE", "write the DDC byte stream");
     if (const int rc = parseOrReport(flags, argc, argv); rc >= 0)
         return rc;
-    if (!core::isMaskStrategy(strategy))
-        fail("unknown mask strategy '" + strategy + "'");
+    if (const auto err = serve::sparsifySpecError(spec))
+        fail(*err);
 
-    const auto shape = !layer.empty()
-        ? parseLayer(layer)
-        : workload::GemmShape{"cli.formats", 512, 512, 1};
-
-    const auto w = workload::synthWeights(shape, seed, 4096);
-    const auto scores = core::magnitudeScores(w);
-    core::MaskRequest mreq;
-    mreq.pattern = core::Pattern::TBS;
-    mreq.strategy = strategy;
-    mreq.sparsity = sparsity;
-    mreq.m = 8;
-    const auto searched = core::tryMakeMask(scores, mreq);
-    if (!searched)
-        fail(searched.error().message);
-    const core::MaskOutput &tbs = *searched;
+    const serve::SparsifiedLayer layer = serve::sparsifyLayer(spec);
+    const core::Matrix &w = layer.weights;
+    const core::MaskOutput &tbs = layer.tbs;
     const sim::DramModel dram{sim::ArchConfig{}};
 
     util::Table t({"format", "bytes", "redundancy", "segments",
@@ -403,7 +378,7 @@ cmdFormats(int argc, char **argv)
     std::printf("TBS mask on %llux%llu at %.1f%% sparsity:\n",
                 static_cast<unsigned long long>(w.rows()),
                 static_cast<unsigned long long>(w.cols()),
-                sparsity * 100.0);
+                spec.sparsity * 100.0);
     t.print();
 
     if (!dump.empty()) {
@@ -474,9 +449,7 @@ cmdArea(int argc, char **argv)
     std::string accel;
     util::FlagSet flags("area",
                         "Area/power breakdown of an accelerator.");
-    flags.option("accel", &accel, "K",
-                 "accelerator: tc stc vegeta highlight rmstc sgcn "
-                 "tbstc fan",
+    flags.option("accel", &accel, "K", "accelerator: " + accelNames(),
                  /*required=*/true);
     if (const int rc = parseOrReport(flags, argc, argv); rc >= 0)
         return rc;
@@ -1050,9 +1023,9 @@ cmdHelp(int argc, char **argv)
         "           [--requests N] [--json] [--verify] [--chaos N]\n"
         "  fuzz     (--socket PATH | --port N) [--seed N]\n"
         "           [--sessions N] [--frames N]  (protocol fuzzer)\n"
-        "  help     [command]\n"
-        "\n"
-        "accelerators: tc stc vegeta highlight rmstc sgcn tbstc fan\n"
+        "  help     [command]\n");
+    std::printf("accelerators: %s\n", accelNames().c_str());
+    std::puts(
         "models:       resnet50 resnet18 bert opt llama\n"
         "\n"
         "'tbstc help <command>' or 'tbstc <command> --help' lists the\n"
