@@ -41,11 +41,6 @@ detectCpuFeatures()
     f.pclmul = __builtin_cpu_supports("pclmul");
     f.bmi2 = __builtin_cpu_supports("bmi2");
     f.avx2 = __builtin_cpu_supports("avx2");
-    f.avx512f = __builtin_cpu_supports("avx512f");
-    f.avx512bw = __builtin_cpu_supports("avx512bw");
-    f.avx512dq = __builtin_cpu_supports("avx512dq");
-    f.avx512vl = __builtin_cpu_supports("avx512vl");
-    f.avx512vpopcntdq = __builtin_cpu_supports("avx512vpopcntdq");
 #elif defined(__aarch64__)
 #if defined(__linux__)
     const unsigned long hwcap = getauxval(AT_HWCAP);
@@ -110,8 +105,6 @@ isaName(Isa isa)
         return "scalar";
     case Isa::Avx2:
         return "avx2";
-    case Isa::Avx512:
-        return "avx512";
     case Isa::Neon:
         return "neon";
     }
@@ -127,10 +120,6 @@ parseIsa(std::string_view name, Isa &out)
     }
     if (name == "avx2") {
         out = Isa::Avx2;
-        return true;
-    }
-    if (name == "avx512") {
-        out = Isa::Avx512;
         return true;
     }
     if (name == "neon") {
@@ -154,8 +143,7 @@ std::vector<Isa>
 supportedIsas()
 {
     std::vector<Isa> out;
-    for (const Isa isa :
-         {Isa::Scalar, Isa::Avx2, Isa::Avx512, Isa::Neon})
+    for (const Isa isa : {Isa::Scalar, Isa::Avx2, Isa::Neon})
         if (isaSupported(isa))
             out.push_back(isa);
     return out;
@@ -165,7 +153,7 @@ Isa
 bestSupportedIsa()
 {
     Isa best = Isa::Scalar;
-    for (const Isa isa : {Isa::Avx2, Isa::Avx512, Isa::Neon})
+    for (const Isa isa : {Isa::Avx2, Isa::Neon})
         if (isaSupported(isa))
             best = isa;
     return best;
@@ -180,17 +168,11 @@ kernelTableFor(Isa isa)
         return &detail::scalarTable();
     case Isa::Avx2:
 #if defined(TBSTC_KERNELS_HAVE_AVX2)
-        // BMI2 is required for the pext/pdep index codec; every AVX2
-        // part ships it.
-        if (f.avx2 && f.bmi2)
+        // The whole table needs its whole feature set: BMI2 for the
+        // pext/pdep index codec, PCLMUL + SSE4.2 for the CRC fold.
+        // Every AVX2 part ships all three.
+        if (f.avx2 && f.bmi2 && f.pclmul && f.sse42)
             return &detail::avx2Table();
-#endif
-        return nullptr;
-    case Isa::Avx512:
-#if defined(TBSTC_KERNELS_HAVE_AVX512)
-        if (f.avx2 && f.bmi2 && f.avx512f && f.avx512bw && f.avx512dq
-            && f.avx512vl && f.avx512vpopcntdq)
-            return &detail::avx512Table();
 #endif
         return nullptr;
     case Isa::Neon:

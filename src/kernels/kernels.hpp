@@ -8,8 +8,8 @@
  * CRC-32 — routes through one table of function pointers selected
  * once, at first use, from runtime CPU-feature detection. Each ISA's
  * implementations live in their own translation unit compiled with
- * the matching `-m` flags, so a single binary carries scalar, AVX2,
- * and AVX-512 paths on x86-64 (NEON on aarch64) and runs the best one
+ * the matching `-m` flags, so a single binary carries scalar and AVX2
+ * paths on x86-64 (scalar and NEON on aarch64) and runs the best one
  * the host supports.
  *
  * Contract: every ISA level is bit-identical to the scalar level on
@@ -19,7 +19,7 @@
  * keys never depend on the machine that produced them.
  *
  * Selection order: TBSTC_ISA environment variable if set (values:
- * `scalar`, `avx2`, `avx512`, `neon`, `native`), else the best level
+ * `scalar`, `avx2`, `neon`, `native`), else the best level
  * the CPU supports. Forcing a level the host cannot run is a hard
  * error — silently falling back would make perf numbers lie. The
  * `tbstc --isa` flag and `tbstc cpuinfo` build on the same entry
@@ -36,12 +36,15 @@
 
 namespace tbstc::kernels {
 
-/** Dispatchable ISA levels, ascending within an architecture. */
+/**
+ * Dispatchable ISA levels, ascending within an architecture. The
+ * values are the exported `kernels.isa` gauge, so they never move
+ * (2 was a retired AVX-512 level).
+ */
 enum class Isa : uint8_t
 {
     Scalar = 0, ///< Portable C++; the bit-exactness reference.
-    Avx2 = 1,   ///< x86-64 AVX2 (+BMI2, SSE4.2, PCLMUL where present).
-    Avx512 = 2, ///< x86-64 AVX-512 F/BW/DQ/VL/VPOPCNTDQ.
+    Avx2 = 1,   ///< x86-64 AVX2 + BMI2 + SSE4.2 + PCLMUL.
     Neon = 3,   ///< aarch64 Advanced SIMD (+CRC where present).
 };
 
@@ -52,11 +55,6 @@ struct CpuFeatures
     bool pclmul = false;
     bool bmi2 = false;
     bool avx2 = false;
-    bool avx512f = false;
-    bool avx512bw = false;
-    bool avx512dq = false;
-    bool avx512vl = false;
-    bool avx512vpopcntdq = false;
     bool neon = false;
     bool armCrc = false;
 };
@@ -64,8 +62,8 @@ struct CpuFeatures
 /**
  * The kernel table: one entry per vectorizable primitive. All
  * pointers are always non-null; a level that has no specialized form
- * of a primitive points at the next-best implementation it can run
- * (e.g. AVX-512 reuses the AVX2 rank8x8).
+ * of a primitive points at the scalar implementation (e.g. NEON
+ * reuses the scalar rank8x8 and index codec).
  */
 struct KernelTable
 {

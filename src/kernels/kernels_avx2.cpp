@@ -2,9 +2,7 @@
  * @file
  * AVX2-level kernels for x86-64. Compiled with
  * -mavx2 -mbmi2 -msse4.2 -mpclmul; the dispatcher only installs this
- * table when the CPU reports AVX2+BMI2 (the CRC entry additionally
- * requires SSE4.2+PCLMUL and falls back to the scalar slice-by-8
- * otherwise).
+ * table when the CPU reports all four.
  *
  * Implementation notes:
  *  - popcounts use the pshufb nibble-LUT form (Mula): 32 bytes per
@@ -495,10 +493,7 @@ avx2Table()
         t.rank8x8 = &rank8x8;
         t.packIdx = &packIdx;
         t.unpackIdx = &unpackIdx;
-        // PCLMUL+SSE4.2 ride along with AVX2 on every known part, but
-        // the features are architecturally separate — honor cpuid.
-        const CpuFeatures &f = cpuFeatures();
-        t.crc32 = (f.pclmul && f.sse42) ? &pclmulCrc32 : &scalarCrc32;
+        t.crc32 = &pclmulCrc32;
         return t;
     }();
     return table;

@@ -20,15 +20,9 @@ const KernelTable &scalarTable();
 #if defined(TBSTC_KERNELS_HAVE_AVX2)
 /**
  * The AVX2 table. Safe to *call the getter* on any x86-64; the
- * kernels themselves require AVX2/BMI2 (and the CRC entry PCLMUL +
- * SSE4.2 — the getter wires the scalar CRC when those are absent).
+ * kernels themselves require AVX2, BMI2, SSE4.2 and PCLMUL.
  */
 const KernelTable &avx2Table();
-#endif
-
-#if defined(TBSTC_KERNELS_HAVE_AVX512)
-/** The AVX-512 table (requires F/BW/DQ/VL/VPOPCNTDQ at runtime). */
-const KernelTable &avx512Table();
 #endif
 
 #if defined(TBSTC_KERNELS_HAVE_NEON)

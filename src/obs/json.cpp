@@ -1,4 +1,4 @@
-#include "jsonv.hpp"
+#include "json.hpp"
 
 #include <cctype>
 #include <cmath>
@@ -6,7 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 
-namespace tbstc::serve {
+namespace tbstc::obs {
 
 namespace {
 
@@ -382,4 +382,4 @@ jsonNumber(double v)
     return buf;
 }
 
-} // namespace tbstc::serve
+} // namespace tbstc::obs

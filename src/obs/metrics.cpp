@@ -174,15 +174,6 @@ mergedStore()
     return out;
 }
 
-/** Stable double formatting for bucket bounds ("0", "0.5", "1e+30"). */
-std::string
-fmtBound(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
 void
 appendSection(std::string &out, const std::string &indent,
               const std::vector<const MetricDef *> &defs,
@@ -220,8 +211,8 @@ appendSection(std::string &out, const std::string &indent,
                 buckets += (b ? ", " : "") + std::to_string(v);
             }
             hists += (hists.empty() ? "" : ",\n" + indent + "  ")
-                + jsonQuote(d->name) + ": {\"lo\": " + fmtBound(d->lo)
-                + ", \"hi\": " + fmtBound(d->hi) + ", \"buckets\": ["
+                + jsonQuote(d->name) + ": {\"lo\": " + jsonNumber(d->lo)
+                + ", \"hi\": " + jsonNumber(d->hi) + ", \"buckets\": ["
                 + buckets + "], \"total\": " + std::to_string(total)
                 + "}";
             break;

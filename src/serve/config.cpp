@@ -2,9 +2,13 @@
 
 #include <cmath>
 
-#include "jsonv.hpp"
+#include "obs/json.hpp"
 
 namespace tbstc::serve {
+
+using obs::JsonValue;
+using obs::jsonNumber;
+using obs::parseJson;
 
 namespace {
 

@@ -10,6 +10,7 @@
 #include "core/mask_search.hpp"
 #include "core/prune.hpp"
 #include "format/serialize.hpp"
+#include "util/checked.hpp"
 #include "util/crc32.hpp"
 #include "util/fmt.hpp"
 #include "workload/synth.hpp"
@@ -20,6 +21,34 @@ namespace {
 
 /** Row cap used by the formats/sparsify pipeline (matches the CLI). */
 constexpr uint64_t kSparsifyMaxRows = 4096;
+
+/**
+ * Upper bound on a layer spec's x * y * nb (its dense MACs): 2^40.
+ * The largest built-in layer, OPT-6.7B's 16384x4096 fc1, reaches it
+ * only at a 16384-token sequence (the CLI default is 128), so every
+ * built-in model layer passes. Below it, every byte, cycle and energy
+ * term the simulator derives from the shape stays far inside
+ * uint64_t; far above it those terms wrap into nonsense stats.
+ */
+constexpr uint64_t kMaxLayerMacs = uint64_t{1} << 40;
+
+/** The layer spec, parsed and bounded, or why it is rejected. */
+util::Result<workload::GemmShape, std::string>
+boundedLayer(const std::string &spec, const std::string &name)
+{
+    const auto shape = tryParseLayer(spec, name);
+    if (!shape)
+        return util::unexpected("layer spec must be XxYxNB, got '" + spec
+                                + "'");
+    uint64_t xy = 0;
+    uint64_t macs = 0;
+    if (!util::checkedMul(shape->x, shape->y, xy)
+        || !util::checkedMul(xy, shape->nb, macs) || macs > kMaxLayerMacs)
+        return util::unexpected(util::formatStr(
+            "layer '{}' is too large: x*y*nb must be at most {}", spec,
+            kMaxLayerMacs));
+    return *shape;
+}
 
 std::optional<std::string>
 tilingError(uint64_t rows, uint64_t cols, uint64_t m)
@@ -94,9 +123,9 @@ runSpecError(const RunSpec &spec)
     if (!spec.model.empty() && !tryParseModel(spec.model))
         return "unknown model '" + spec.model + "'";
     if (!spec.layer.empty()) {
-        const auto shape = tryParseLayer(spec.layer, "cli.layer");
+        const auto shape = boundedLayer(spec.layer, "cli.layer");
         if (!shape)
-            return "layer spec must be XxYxNB, got '" + spec.layer + "'";
+            return shape.error();
         if (const auto err =
                 tilingError(shape->x, shape->y, accel::RunRequest{}.m))
             return err;
@@ -113,9 +142,9 @@ runSpecError(const RunSpec &spec)
 std::optional<std::string>
 sparsifySpecError(const SparsifySpec &spec)
 {
-    const auto shape = tryParseLayer(spec.layer, "cli.formats");
+    const auto shape = boundedLayer(spec.layer, "cli.formats");
     if (!shape)
-        return "layer spec must be XxYxNB, got '" + spec.layer + "'";
+        return shape.error();
     if (!(spec.sparsity >= 0.0 && spec.sparsity < 1.0))
         return std::string("'sparsity' must be in [0, 1)");
     if (spec.m == 0 || spec.m > 64)

@@ -86,8 +86,9 @@ tryParseLayer(const std::string &spec, const std::string &name);
 /**
  * Why @p spec is not a valid run request, or nullopt when it is: the
  * one rule set of `tbstc run` (exit 2), the daemon (bad_request) and
- * executeRun() (throws). A model that parses or a layer that parses
- * and tiles into the accelerators' 8x8 blocks; sparsity in [0, 1);
+ * executeRun() (throws). A model that parses or a layer that parses,
+ * has at most 2^40 MACs (x*y*nb) and tiles into the accelerators'
+ * 8x8 blocks; sparsity in [0, 1);
  * bw > 0 when set; a known mask strategy.
  */
 std::optional<std::string> runSpecError(const RunSpec &spec);
@@ -95,7 +96,8 @@ std::optional<std::string> runSpecError(const RunSpec &spec);
 /**
  * Why @p spec is not a valid sparsify request, or nullopt when it is
  * (`tbstc formats`, the daemon and executeSparsify() alike): a layer
- * whose row-capped weights tile into m x m blocks; sparsity in
+ * of at most 2^40 MACs whose row-capped weights tile into m x m
+ * blocks; sparsity in
  * [0, 1); m in [1, 64]; a known mask strategy.
  */
 std::optional<std::string> sparsifySpecError(const SparsifySpec &spec);

@@ -13,9 +13,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "obs/json.hpp"
 #include "util/rng.hpp"
 
 namespace tbstc::serve {
+
+using obs::JsonValue;
+using obs::jsonNumber;
+using obs::parseJson;
 
 namespace {
 
@@ -196,24 +201,29 @@ buildMix(size_t total, uint64_t seed)
 std::string
 oneShotCommand(const Request &req)
 {
+    // buildMix's sparsify requests keep m = 8, the block size `formats`
+    // always uses, so the command needs (and `formats` has) no --m.
     char buf[256];
-    if (req.op == Op::Sparsify) {
+    const bool sparsify = req.op == Op::Sparsify;
+    const std::string &strategy =
+        sparsify ? req.sparsify.strategy : req.run.strategy;
+    if (sparsify)
         std::snprintf(buf, sizeof buf,
-                      "tbstc formats --layer %s --sparsity %g "
-                      "--seed %llu --m %llu",
+                      "tbstc formats --layer %s --sparsity %g --seed %llu",
                       req.sparsify.layer.c_str(), req.sparsify.sparsity,
                       static_cast<unsigned long long>(
-                          req.sparsify.seed),
-                      static_cast<unsigned long long>(req.sparsify.m));
-        return buf;
-    }
-    std::snprintf(buf, sizeof buf,
-                  "tbstc run --accel %s --layer %s --sparsity %g "
-                  "--seed %llu --csv",
-                  accelWireName(req.run.kind).c_str(),
-                  req.run.layer.c_str(), req.run.sparsity,
-                  static_cast<unsigned long long>(req.run.seed));
-    return buf;
+                          req.sparsify.seed));
+    else
+        std::snprintf(buf, sizeof buf,
+                      "tbstc run --accel %s --layer %s --sparsity %g "
+                      "--seed %llu --csv",
+                      accelWireName(req.run.kind).c_str(),
+                      req.run.layer.c_str(), req.run.sparsity,
+                      static_cast<unsigned long long>(req.run.seed));
+    std::string cmd = buf;
+    if (!strategy.empty())
+        cmd += " --mask-strategy " + strategy;
+    return cmd;
 }
 
 util::Result<LoadgenStats, std::string>

@@ -78,8 +78,10 @@ struct LoadgenStats
 std::vector<Request> buildMix(size_t total, uint64_t seed);
 
 /**
- * The one-shot CLI command equivalent to @p req ("tbstc run ..."),
- * for CI scripts that diff daemon responses against one-shot runs.
+ * The one-shot CLI command equivalent to @p req ("tbstc run ..." or
+ * "tbstc formats ..."), for CI scripts that diff daemon responses
+ * against one-shot runs. --mask-strategy appears only when the request
+ * names one.
  */
 std::string oneShotCommand(const Request &req);
 

@@ -17,7 +17,10 @@
 
 namespace tbstc::serve {
 
+using obs::JsonValue;
+using obs::jsonNumber;
 using obs::jsonQuote;
+using obs::parseJson;
 
 namespace {
 

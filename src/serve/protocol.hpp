@@ -31,7 +31,6 @@
 #include <string_view>
 
 #include "exec.hpp"
-#include "jsonv.hpp"
 #include "util/result.hpp"
 
 namespace tbstc::serve {

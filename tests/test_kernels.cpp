@@ -81,6 +81,13 @@ TEST(KernelDispatch, ParseNames)
     EXPECT_EQ(isa, kernels::bestSupportedIsa());
     EXPECT_FALSE(kernels::parseIsa("sse9", isa));
     EXPECT_FALSE(kernels::parseIsa("", isa));
+    // Every declared level round-trips, runnable here or not.
+    for (Isa level : {Isa::Scalar, Isa::Avx2, Isa::Neon}) {
+        Isa back = Isa::Scalar;
+        ASSERT_TRUE(kernels::parseIsa(kernels::isaName(level), back))
+            << kernels::isaName(level);
+        EXPECT_EQ(back, level);
+    }
     for (Isa level : kernels::supportedIsas()) {
         Isa back = Isa::Scalar;
         ASSERT_TRUE(kernels::parseIsa(kernels::isaName(level), back));

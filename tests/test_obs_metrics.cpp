@@ -108,7 +108,10 @@ TEST_F(ObsMetricsTest, HistogramClampsEdgesAndDropsNan)
     h.observe(8.0);                     // hi is exclusive: top bucket.
     h.observe(std::nan(""));            // Dropped entirely.
     const std::string json = obs::metricsJson();
-    EXPECT_NE(json.find("\"test.edge.hist\""), std::string::npos);
+    // Bucket bounds render through obs::jsonNumber, integers bare.
+    EXPECT_NE(json.find("\"test.edge.hist\": {\"lo\": 0, \"hi\": 8, "),
+              std::string::npos)
+        << json;
     EXPECT_NE(json.find("\"buckets\": [2, 0, 0, 2]"), std::string::npos)
         << json;
     EXPECT_NE(json.find("\"total\": 4"), std::string::npos);

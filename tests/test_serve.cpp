@@ -32,7 +32,6 @@
 #include "accel/accelerator.hpp"
 #include "obs/json.hpp"
 #include "serve/exec.hpp"
-#include "serve/jsonv.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/protocol.hpp"
 #include "serve/queue.hpp"
@@ -42,6 +41,9 @@ namespace {
 
 using namespace tbstc;
 using namespace tbstc::serve;
+using obs::JsonValue;
+using obs::kJsonMaxDepth;
+using obs::parseJson;
 
 // ---------------------------------------------------------------- exec
 
@@ -94,7 +96,7 @@ TEST(ServeExec, OneValidatorForCliDaemonAndExecution)
         spec.layer = "512x512x8";
         return spec;
     };
-    std::vector<RunSpec> bad(8, base());
+    std::vector<RunSpec> bad(9, base());
     bad[0].bw = 0.0;
     bad[1].bw = -5.0;
     bad[2].sparsity = 1.5;
@@ -104,6 +106,7 @@ TEST(ServeExec, OneValidatorForCliDaemonAndExecution)
     bad[5].model = "gpt5";
     bad[6].layer = "-8x8x1"; // Not 2^64 - 8 rows.
     bad[7].layer = "8x8x1junk";
+    bad[8].layer = "18446744073709551608x8x1"; // 2^64 - 8 rows.
     EXPECT_FALSE(runSpecError(base()));
     for (const RunSpec &spec : bad) {
         const auto err = runSpecError(spec);
@@ -115,12 +118,13 @@ TEST(ServeExec, OneValidatorForCliDaemonAndExecution)
         EXPECT_FALSE(parseRequest(serializeRequest(req)).ok()) << *err;
     }
 
-    std::vector<SparsifySpec> bad_sp(5);
+    std::vector<SparsifySpec> bad_sp(6);
     bad_sp[0].sparsity = 1.5;
     bad_sp[1].m = 0;
     bad_sp[2].m = 65;
     bad_sp[3].layer = "100x100x1";
     bad_sp[4].strategy = "anneal";
+    bad_sp[5].layer = "64x18446744073709551608x1"; // Columns uncapped.
     EXPECT_FALSE(sparsifySpecError(SparsifySpec{}));
     for (const SparsifySpec &spec : bad_sp) {
         const auto err = sparsifySpecError(spec);
@@ -134,7 +138,7 @@ TEST(ServeExec, OneValidatorForCliDaemonAndExecution)
     }
 }
 
-// ---------------------------------------------------------------- jsonv
+// ----------------------------------------------------------- obs/json
 
 TEST(ServeJson, ParsesScalarsObjectsAndArrays)
 {
@@ -602,6 +606,14 @@ TEST(ServeServer, SparsifyPingStatsAndBadRequests)
     EXPECT_EQ(resp.get("kind").asString(), "bad_request");
     EXPECT_DOUBLE_EQ(resp.get("id").asNumber(), 13.0);
 
+    // So does a layer past the MAC cap, whose stats would overflow.
+    ASSERT_TRUE(client.sendRaw(
+        R"({"id": 14, "op": "run", "accel": "tbstc",
+            "layer": "18446744073709551608x8x1"})"));
+    resp = client.recv();
+    EXPECT_EQ(resp.get("kind").asString(), "bad_request");
+    EXPECT_DOUBLE_EQ(resp.get("id").asNumber(), 14.0);
+
     Request again;
     again.id = 10;
     again.op = Op::Ping;
@@ -611,7 +623,7 @@ TEST(ServeServer, SparsifyPingStatsAndBadRequests)
     server.beginShutdown();
     server.wait();
     const ServerCounters c = server.counters();
-    EXPECT_EQ(c.badRequests, 4u);
+    EXPECT_EQ(c.badRequests, 5u);
     EXPECT_EQ(c.pings, 2u);
 }
 

@@ -17,8 +17,8 @@
 #include <dirent.h>
 #include <unistd.h>
 
+#include "obs/json.hpp"
 #include "serve/fuzz.hpp"
-#include "serve/jsonv.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 
@@ -26,6 +26,7 @@ namespace {
 
 using namespace tbstc;
 using namespace tbstc::serve;
+using obs::parseJson;
 
 /** Open descriptors of this process (the fuzz leak budget). */
 size_t

@@ -20,8 +20,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "obs/json.hpp"
 #include "serve/config.hpp"
-#include "serve/jsonv.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 
@@ -29,6 +29,8 @@ namespace {
 
 using namespace tbstc;
 using namespace tbstc::serve;
+using obs::JsonValue;
+using obs::parseJson;
 
 /** Connect to 127.0.0.1:@p port; asserts on failure. */
 int

@@ -10,7 +10,7 @@ only when it is more than --tolerance slower than the fleet after that
 normalization. A uniform slowdown (slower CI runner) therefore passes;
 one kernel regressing against its peers fails.
 
-Baselines are keyed by kernel ISA: kernel timings under AVX-512 are not
+Baselines are keyed by kernel ISA: kernel timings under AVX2 are not
 comparable to a scalar-only runner, so when BASELINE is a *directory*
 the script reads the active ISA from the current run's
 context.tbstc_isa field (bench_kernels records it via

@@ -2,7 +2,7 @@
 """Merge bench_kernels --json runs into a conservative baseline.
 
 Microbenchmark timings on shared/virtualized runners are bimodal: the
-host migrates the guest between cores or frequency states, and AVX-512
+host migrates the guest between cores or frequency states, and vector
 kernels in particular swing ~1.5x between windows with no code change.
 A baseline captured in a fast window then flags every slow-window run
 as a regression.

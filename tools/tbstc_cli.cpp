@@ -149,8 +149,8 @@ struct SimOpts
             .flag("no-cache", &noCache,
                   "disable the in-memory and on-disk result caches")
             .option("isa", &isa, "L",
-                    "force the kernel ISA level: scalar avx2 avx512 "
-                    "neon native (default: best supported; also "
+                    "force the kernel ISA level: scalar avx2 neon "
+                    "native (default: best supported; also "
                     "TBSTC_ISA — see 'tbstc cpuinfo')");
     }
 
@@ -469,7 +469,7 @@ cmdArea(int argc, char **argv)
 /**
  * cpuinfo: detected CPU features, the runnable ISA levels, the level
  * the dispatcher selected, and per-primitive provenance of the active
- * kernel table (levels borrow entries — e.g. avx512 reuses the avx2
+ * kernel table (levels borrow entries — e.g. neon reuses the scalar
  * rank8x8 — so each row names the level that actually implements it).
  */
 int
@@ -482,7 +482,7 @@ cmdCpuinfo(int argc, char **argv)
         "table.");
     flags.option("isa", &isa, "L",
                  "report the table for this level instead of the "
-                 "dispatched one: scalar avx2 avx512 neon native");
+                 "dispatched one: scalar avx2 neon native");
     if (const int rc = parseOrReport(flags, argc, argv); rc >= 0)
         return rc;
     if (!isa.empty()) {
@@ -500,11 +500,6 @@ cmdCpuinfo(int argc, char **argv)
         {"pclmul", f.pclmul},
         {"bmi2", f.bmi2},
         {"avx2", f.avx2},
-        {"avx512f", f.avx512f},
-        {"avx512bw", f.avx512bw},
-        {"avx512dq", f.avx512dq},
-        {"avx512vl", f.avx512vl},
-        {"avx512vpopcntdq", f.avx512vpopcntdq},
         {"asimd", f.neon},
         {"crc32", f.armCrc},
     };
